@@ -92,13 +92,13 @@ int main() {
     if (!row.ok) continue;
     const std::int64_t pure_best =
         std::max({row.none, row.best_cache, row.best_buffer});
+    const std::string k_buffer = TablePrinter::Cell(row.k_buffer);
     table.AddRow(
         {std::to_string(static_cast<int>(pop.x * 100)) + ":" +
              std::to_string(static_cast<int>(pop.y * 100)),
          TablePrinter::Cell(row.none), TablePrinter::Cell(row.best_cache),
          TablePrinter::Cell(row.best_buffer),
-         "(" + TablePrinter::Cell(row.k_buffer) + "," +
-             TablePrinter::Cell(row.k_cache) + ")",
+         "(" + k_buffer + "," + TablePrinter::Cell(row.k_cache) + ")",
          TablePrinter::Cell(row.hybrid),
          TablePrinter::Cell(
              100.0 * (static_cast<double>(row.hybrid) /

@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/stream_journal.h"
-#include "server/admission.h"
 #include "server/timecycle_server.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -276,35 +275,6 @@ void BM_DirectServerCycles(benchmark::State& state) {
   state.SetItemsProcessed(cycles);
 }
 BENCHMARK(BM_DirectServerCycles)->Arg(8)->Arg(64);
-
-// Admission decisions per second (items = admitted streams) under the
-// churny admit/release pattern that keeps returning to recently seen
-// (n, B̄) loads — the case the controller's re-solve memo turns into a
-// hash probe. Arg = buffer_k: 0 prices against Theorem 1 directly, 2
-// against the Theorem 2 MEMS-buffer solve.
-void BM_AdmissionChurn(benchmark::State& state) {
-  auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
-  server::AdmissionConfig config;
-  config.dram_budget = 4 * kGB;
-  config.disk_rate = 300 * kMBps;
-  config.disk_latency = model::DiskLatencyFn(disk);
-  config.buffer_k = state.range(0);
-  config.mems.rate = 320 * kMBps;
-  config.mems.latency = 0.86 * kMillisecond;
-  config.mems.capacity = 10 * kGB;
-  auto ctrl = server::AdmissionController::Create(config);
-  for (int i = 0; i < 64; ++i) {
-    (void)ctrl.value().TryAdmit(1 * kMBps);
-  }
-  std::int64_t admitted = 0;
-  for (auto _ : state) {
-    admitted += ctrl.value().TryAdmit(1 * kMBps).admitted ? 1 : 0;
-    (void)ctrl.value().Release(1 * kMBps);
-  }
-  benchmark::DoNotOptimize(ctrl.value().memo_stats().hits);
-  state.SetItemsProcessed(admitted);
-}
-BENCHMARK(BM_AdmissionChurn)->Arg(0)->Arg(2);
 
 // Cost of one auditor/timeline sample through the null-tolerant helpers:
 // Arg(0) = disabled (null sink: one pointer test per site), Arg(1) = a

@@ -1,9 +1,9 @@
 // Farm-level admission router: one model-driven AdmissionController per
 // shard, fronted by the catalog placement. A request for a title is
 // offered to that title's replicas in least-loaded order; each candidate
-// re-checks Theorem-1/2 headroom through the controller's incremental
-// solver probes, so a stream is only ever admitted where the analytical
-// sizing still fits the shard's DRAM budget and bandwidth.
+// re-checks Theorem-1/2 headroom through the controller's direct solve,
+// so a stream is only ever admitted where the analytical sizing still
+// fits the shard's DRAM budget and bandwidth.
 //
 // The router also carries the farm's availability state: a shard marked
 // down (fault::FaultPlan node failure) is skipped by Route until its

@@ -40,8 +40,8 @@ Result<DegradationManager> DegradationManager::Create(
   return DegradationManager(config);
 }
 
-std::int64_t DegradationManager::MaxSustainableFull(std::int64_t alive,
-                                                    double rate_scale) const {
+std::int64_t DegradationManager::MaxSustainable(std::int64_t alive,
+                                                double rate_scale) const {
   if (alive <= 0 || rate_scale <= 0) return 0;
   const model::DeviceProfile degraded = ScaleRate(config_.mems, rate_scale);
   std::int64_t n = model::MaxCacheStreamsBandwidthBound(
@@ -60,14 +60,6 @@ std::int64_t DegradationManager::MaxSustainableFull(std::int64_t alive,
   return n;
 }
 
-std::int64_t DegradationManager::MaxSustainable(std::int64_t alive,
-                                                double rate_scale) const {
-  const model::SolveKey key{alive, model::DoubleBits(rate_scale), 1};
-  return sustain_memo_.Lookup(
-      key, [&] { return MaxSustainableFull(alive, rate_scale); },
-      [](std::int64_t a, std::int64_t b) { return a == b; });
-}
-
 bool DegradationManager::DiskCanAbsorb(std::int64_t extra) const {
   if (extra < 0) return false;
   if (config_.disk.rate <= 0) return false;
@@ -76,8 +68,8 @@ bool DegradationManager::DiskCanAbsorb(std::int64_t extra) const {
       .ok();
 }
 
-CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
-                                           double rate_scale) const {
+CacheReplan DegradationManager::Replan(std::int64_t alive,
+                                       double rate_scale) const {
   CacheReplan plan;
   std::ostringstream action;
 
@@ -89,7 +81,7 @@ CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
     const model::DeviceProfile degraded =
         ScaleRate(config_.mems, rate_scale);
     const std::int64_t sustainable =
-        config_.allow_shed ? MaxSustainableFull(alive, rate_scale)
+        config_.allow_shed ? MaxSustainable(alive, rate_scale)
                            : config_.n_cache;
     const std::int64_t keep = std::min(config_.n_cache, sustainable);
     auto buf = model::CachePerStreamBuffer(keep, config_.bit_rate, alive,
@@ -144,14 +136,6 @@ CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
   action << "cache down: " << to_disk << " to disk, shed " << plan.shed;
   plan.action = action.str();
   return plan;
-}
-
-const CacheReplan& DegradationManager::Replan(std::int64_t alive,
-                                              double rate_scale) const {
-  const model::SolveKey key{alive, model::DoubleBits(rate_scale), 0};
-  return replan_memo_.Lookup(
-      key, [&] { return ReplanFull(alive, rate_scale); },
-      [](const CacheReplan& a, const CacheReplan& b) { return a == b; });
 }
 
 }  // namespace memstream::fault

@@ -32,7 +32,6 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "model/incremental.h"
 #include "model/mems_cache.h"
 #include "model/profiles.h"
 
@@ -74,13 +73,9 @@ struct DegradationConfig {
 };
 
 /// Policy object: the durable state lives in the server + injector; the
-/// manager itself only carries incremental re-solve memos. Fault/repair
-/// sequences revisit the same degraded (alive, rate_scale) states over
-/// and over, so Replan() and MaxSustainable() cache their outcome on the
-/// bit-exact key and a revisit skips the full re-derivation (cross-
-/// checked against the full solver in debug builds). The memos are not
-/// synchronized: a manager must not be shared by concurrently running
-/// servers.
+/// manager holds only its configuration, so Replan() and
+/// MaxSustainable() re-solve Theorems 1/3/4 on every call (a fault or
+/// repair triggers one re-plan, and each solve is a few flops).
 class DegradationManager {
  public:
   /// Validates the configuration.
@@ -92,7 +87,7 @@ class DegradationManager {
   /// devices still serving and `rate_scale` = the worst surviving-tip
   /// fraction among them (1 = no tip loss). Healthy inputs return a
   /// full-strength reshape (retained = n_cache, original sizing).
-  const CacheReplan& Replan(std::int64_t alive, double rate_scale) const;
+  CacheReplan Replan(std::int64_t alive, double rate_scale) const;
 
   /// Largest stream count the degraded bank sustains with a valid
   /// Theorem 3/4 sizing (bandwidth and buffer both finite).
@@ -102,28 +97,11 @@ class DegradationManager {
   /// config().n_disk (Theorem 1 bandwidth bound).
   bool DiskCanAbsorb(std::int64_t extra) const;
 
-  /// Re-solve memo accounting (hits/misses/cross-check mismatches).
-  const model::SolveMemoStats& replan_stats() const {
-    return replan_memo_.stats();
-  }
-  /// Forces (or disables) the hit-time cross-check against the full
-  /// solver; defaults to on in debug builds only.
-  void set_cross_check(bool on) const {
-    replan_memo_.set_cross_check(on);
-    sustain_memo_.set_cross_check(on);
-  }
-
  private:
   explicit DegradationManager(const DegradationConfig& config)
       : config_(config) {}
 
-  CacheReplan ReplanFull(std::int64_t alive, double rate_scale) const;
-  std::int64_t MaxSustainableFull(std::int64_t alive,
-                                  double rate_scale) const;
-
   DegradationConfig config_;
-  mutable model::SolveMemo<CacheReplan> replan_memo_;
-  mutable model::SolveMemo<std::int64_t> sustain_memo_;
 };
 
 }  // namespace memstream::fault

@@ -1,33 +1,14 @@
-// Incremental Theorem re-solves: the perf layer over the analytical
-// model. Two complementary pieces.
-//
-// 1. Probe kernels. The capacity planners answer "largest n whose sizing
-//    fits" questions by searching over n (or bisecting over a price
-//    factor), and every *infeasible* probe of the Result-returning
-//    solvers pays a Status-with-message heap allocation. ProbeTheorem1* /
-//    ProbeCache* evaluate the identical closed forms — the same
-//    operations in the same order, so a feasible probe produces the
-//    bit-identical double — but signal infeasibility with NaN, and
-//    LargestTrueInline drives them without std::function indirection.
-//    incremental_model_test cross-checks the probes against the full
-//    solvers over randomized parameters.
-//
-// 2. Re-solve memos. Online admission and degradation re-plans evaluate
-//    the same solver at the same handful of keys over and over: every
-//    admit + depart pair returns to the previous (n, B̄) — the aggregate
-//    terms (stream count, summed bit-rate) are already maintained by
-//    O(1) deltas — and every fault + repair pair returns to the previous
-//    (alive, rate_scale). SolveMemo caches solver outcomes on the
-//    bit-exact key so a revisit costs a hash probe instead of a full
-//    re-derivation. In debug builds (or with set_cross_check(true))
-//    every hit re-runs the full solver and counts disagreements in
-//    stats().mismatches — the incremental path is only trusted where it
-//    is provably equal to the full one.
-//
-// A SolveMemo belongs to one controller / manager instance and is not
-// internally synchronized; instances must not be shared across
-// concurrently running servers (the servers own their managers, so this
-// holds today — the TSan CI job guards it).
+// Theorem kernels: the single implementation of the paper's closed-form
+// buffer sizings. ProbeTheorem1* (Theorem 1 / Corollary 1) and
+// ProbeCache* (Theorems 3/4) compute the sizing and signal an invalid
+// or infeasible input with NaN instead of a Status. The Result-returning
+// solvers (PerStreamBufferSize, CachePerStreamBuffer and their totals)
+// validate their arguments, call these kernels, and map NaN to
+// Infeasible; the capacity planners call the kernels directly, so the
+// infeasible probes of their searches allocate no error message.
+// LargestTrueInline drives those searches without std::function
+// indirection. incremental_model_test checks the NaN <=> non-OK mapping
+// over randomized parameters.
 
 #ifndef MEMSTREAM_MODEL_INCREMENTAL_H_
 #define MEMSTREAM_MODEL_INCREMENTAL_H_
@@ -35,8 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
-#include <utility>
 
 #include "common/units.h"
 #include "model/mems_cache.h"
@@ -44,8 +23,7 @@
 
 namespace memstream::model {
 
-/// Bit pattern of a double, for bit-exact memo keys (and equality that
-/// distinguishes nothing a full re-solve would not).
+/// Bit pattern of a double, for bit-exact comparisons.
 inline std::uint64_t DoubleBits(double x) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &x, sizeof(bits));
@@ -58,9 +36,9 @@ inline double QuietNaN() {
 
 // --- probe kernels -------------------------------------------------------
 
-/// Theorem 1 / Corollary 1 per-stream buffer, mirroring
-/// PerStreamBufferSize() term for term; NaN where the full solver returns
-/// a non-OK Status (invalid domain or R <= n * B̄).
+/// Theorem 1 / Corollary 1 per-stream buffer
+/// S = n * L̄ * R * B̄ / (R - n * B̄); NaN on an invalid domain or when
+/// R <= n * B̄.
 inline double ProbeTheorem1PerStream(std::int64_t n, BytesPerSecond bit_rate,
                                      BytesPerSecond rate, Seconds latency) {
   if (n < 1 || bit_rate <= 0 || rate <= 0 || latency < 0) return QuietNaN();
@@ -69,15 +47,19 @@ inline double ProbeTheorem1PerStream(std::int64_t n, BytesPerSecond bit_rate,
   return nn * latency * rate * bit_rate / (rate - nn * bit_rate);
 }
 
-/// n * ProbeTheorem1PerStream, mirroring TotalBufferSize().
+/// n * ProbeTheorem1PerStream (NaN propagates).
 inline double ProbeTheorem1Total(std::int64_t n, BytesPerSecond bit_rate,
                                  BytesPerSecond rate, Seconds latency) {
   const double s = ProbeTheorem1PerStream(n, bit_rate, rate, latency);
-  return static_cast<double>(n) * s;  // NaN propagates
+  return static_cast<double>(n) * s;
 }
 
-/// Theorems 3/4 per-stream buffer, mirroring CachePerStreamBuffer();
-/// NaN where the full solver returns a non-OK Status.
+/// Theorems 3/4 per-stream buffer. Both share one shape:
+/// S = E * L̄m * (k*Rm) * B̄ / (k*Rm - E' * B̄), where E is the effective
+/// number of positioning delays per cycle (n striped; (n+k-1)/k
+/// replicated, each device seeking for ceil(n/k) <= (n+k-1)/k streams)
+/// and E' the effective bandwidth load factor. NaN on an invalid domain
+/// or when the bank cannot sustain the load.
 inline double ProbeCachePerStream(std::int64_t n, BytesPerSecond bit_rate,
                                   std::int64_t k, const DeviceProfile& mems,
                                   CachePolicy policy) {
@@ -95,7 +77,7 @@ inline double ProbeCachePerStream(std::int64_t n, BytesPerSecond bit_rate,
          (bank_rate - load * bit_rate);
 }
 
-/// n * ProbeCachePerStream, mirroring CacheTotalBuffer().
+/// n * ProbeCachePerStream (NaN propagates).
 inline double ProbeCacheTotal(std::int64_t n, BytesPerSecond bit_rate,
                               std::int64_t k, const DeviceProfile& mems,
                               CachePolicy policy) {
@@ -124,76 +106,15 @@ std::int64_t LargestTrueInline(Pred&& pred, std::int64_t lo,
   return known_true;
 }
 
-// --- re-solve memos ------------------------------------------------------
+// --- solve accounting ---------------------------------------------------
 
-/// One solver invocation's identity: an integer term and up to two real
-/// terms, reals keyed by bit pattern. Two keys are equal exactly when a
-/// full re-derivation would be handed the identical inputs.
-struct SolveKey {
-  std::int64_t n = 0;
-  std::uint64_t x_bits = 0;
-  std::uint64_t y_bits = 0;
-
-  bool operator==(const SolveKey&) const = default;
-};
-
-struct SolveKeyHash {
-  std::size_t operator()(const SolveKey& key) const {
-    std::uint64_t h =
-        0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(key.n);
-    h = (h ^ key.x_bits) * 0xFF51AFD7ED558CCDull;
-    h = (h ^ key.y_bits) * 0xC4CEB9FE1A85EC53ull;
-    return static_cast<std::size_t>(h ^ (h >> 33));
-  }
-};
-
-/// Hit/miss accounting, exported as prof.* gauges by the owners and
-/// asserted on by incremental_model_test (mismatches must stay 0).
+/// Theorem-solve counter kept by AdmissionController::memo_stats():
+/// `misses` counts every Theorem 1/2 solve the controller runs. Nothing
+/// is cached, so `hits` stays 0; the two fields keep the counter's
+/// published shape.
 struct SolveMemoStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
-  std::int64_t cross_checks = 0;
-  std::int64_t mismatches = 0;
-};
-
-#ifndef NDEBUG
-inline constexpr bool kSolveMemoCrossCheckDefault = true;
-#else
-inline constexpr bool kSolveMemoCrossCheckDefault = false;
-#endif
-
-/// Memo of a pure solve. Lookup() returns the cached value for a known
-/// key, otherwise runs `full`, stores, and returns. In cross-check mode
-/// every hit re-runs `full` anyway and compares via `equal`.
-template <typename V>
-class SolveMemo {
- public:
-  template <typename FullFn, typename EqFn>
-  const V& Lookup(const SolveKey& key, FullFn&& full, EqFn&& equal) {
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      if (cross_check_) {
-        ++stats_.cross_checks;
-        if (!equal(full(), it->second)) ++stats_.mismatches;
-      }
-      return it->second;
-    }
-    ++stats_.misses;
-    return map_.emplace(key, full()).first->second;
-  }
-
-  /// Drops every cached solve (e.g. when the owning config changes).
-  void Clear() { map_.clear(); }
-
-  const SolveMemoStats& stats() const { return stats_; }
-  bool cross_check() const { return cross_check_; }
-  void set_cross_check(bool on) { cross_check_ = on; }
-
- private:
-  std::unordered_map<SolveKey, V, SolveKeyHash> map_;
-  SolveMemoStats stats_;
-  bool cross_check_ = kSolveMemoCrossCheckDefault;
 };
 
 }  // namespace memstream::model

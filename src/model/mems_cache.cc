@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "model/incremental.h"
+
 namespace memstream::model {
 
 const char* CachePolicyName(CachePolicy policy) {
@@ -44,20 +46,6 @@ double CachedFraction(CachePolicy policy, std::int64_t k,
   return std::min(cache / content_size, 1.0);
 }
 
-namespace {
-
-// Effective seek count in a cycle, per policy: striped banks seek for
-// every stream on every device in lock-step (n effective positioning
-// delays at single-device latency); replicated banks split the streams,
-// ceil(n/k) <= (n+k-1)/k per device.
-double EffectiveSeekStreams(std::int64_t n, std::int64_t k,
-                            CachePolicy policy) {
-  if (policy == CachePolicy::kStriped) return static_cast<double>(n);
-  return static_cast<double>(n + k - 1) / static_cast<double>(k);
-}
-
-}  // namespace
-
 bool CacheCanSustain(std::int64_t n, BytesPerSecond bit_rate,
                      std::int64_t k, BytesPerSecond mems_rate,
                      CachePolicy policy) {
@@ -91,19 +79,11 @@ Result<Bytes> CachePerStreamBuffer(std::int64_t n, BytesPerSecond bit_rate,
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
   if (bit_rate <= 0) return Status::InvalidArgument("bit_rate must be > 0");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (!CacheCanSustain(n, bit_rate, k, mems.rate, policy)) {
+  const double s = ProbeCachePerStream(n, bit_rate, k, mems, policy);
+  if (std::isnan(s)) {
     return Status::Infeasible("cache bank rate below the stream load");
   }
-  // Theorems 3/4 share one shape: S = E * L̄m * (k*Rm) * B̄ /
-  // (k*Rm - E' * B̄), where E is the effective number of positioning
-  // delays per cycle and E' the effective bandwidth load factor.
-  const double bank_rate = static_cast<double>(k) * mems.rate;
-  const double seeks = EffectiveSeekStreams(n, k, policy);
-  const double load = policy == CachePolicy::kStriped
-                          ? static_cast<double>(n)
-                          : static_cast<double>(n + k - 1);
-  return seeks * mems.latency * bank_rate * bit_rate /
-         (bank_rate - load * bit_rate);
+  return s;
 }
 
 Result<Bytes> CacheTotalBuffer(std::int64_t n, BytesPerSecond bit_rate,

@@ -29,11 +29,11 @@ Result<Bytes> PerStreamBufferSize(std::int64_t n, BytesPerSecond bit_rate,
   if (dev.rate <= 0 || dev.latency < 0) {
     return Status::InvalidArgument("device profile not positive");
   }
-  if (!CanSustain(n, bit_rate, dev)) {
+  const double s = ProbeTheorem1PerStream(n, bit_rate, dev.rate, dev.latency);
+  if (std::isnan(s)) {
     return Status::Infeasible("device rate <= n * bit_rate (Theorem 1)");
   }
-  const double nn = static_cast<double>(n);
-  return nn * dev.latency * dev.rate * bit_rate / (dev.rate - nn * bit_rate);
+  return s;
 }
 
 Result<Bytes> TotalBufferSize(std::int64_t n, BytesPerSecond bit_rate,

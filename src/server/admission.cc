@@ -33,6 +33,7 @@ Result<AdmissionController> AdmissionController::Create(
 Bytes AdmissionController::DramFor(std::int64_t n, BytesPerSecond avg,
                                    std::string* reason) const {
   if (n == 0) return 0;
+  ++solves_.misses;
   model::DeviceProfile disk;
   disk.rate = config_.disk_rate;
   disk.latency = config_.disk_latency(n);
@@ -54,22 +55,6 @@ Bytes AdmissionController::DramFor(std::int64_t n, BytesPerSecond avg,
   return kInf;
 }
 
-const AdmissionController::DramSolve& AdmissionController::DramForCached(
-    std::int64_t n, BytesPerSecond avg) const {
-  const model::SolveKey key{n, model::DoubleBits(avg), 0};
-  return memo_.Lookup(
-      key,
-      [&] {
-        DramSolve solve;
-        solve.dram = DramFor(n, avg, &solve.reason);
-        return solve;
-      },
-      [](const DramSolve& a, const DramSolve& b) {
-        return model::DoubleBits(a.dram) == model::DoubleBits(b.dram) &&
-               a.reason == b.reason;
-      });
-}
-
 AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
   // The wall clock runs only when a latency consumer is installed, so
   // untelemetered admission stays clock-free (and deterministic tests
@@ -86,11 +71,13 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
     const BytesPerSecond avg =
         (total_rate_ + bit_rate) /
         static_cast<double>(decision.streams_after);
-    const DramSolve& solve = DramForCached(decision.streams_after, avg);
-    decision.dram_required = solve.dram;
-    if (solve.dram > config_.dram_budget) {
-      decision.reason =
-          solve.dram == kInf ? solve.reason : "DRAM budget exceeded";
+    std::string infeasible;
+    decision.dram_required =
+        DramFor(decision.streams_after, avg, &infeasible);
+    if (decision.dram_required > config_.dram_budget) {
+      decision.reason = decision.dram_required == kInf
+                            ? std::move(infeasible)
+                            : "DRAM budget exceeded";
     } else {
       admitted_.push_back(bit_rate);
       total_rate_ += bit_rate;
@@ -128,7 +115,7 @@ Status AdmissionController::Release(BytesPerSecond bit_rate) {
 Bytes AdmissionController::CurrentDramRequirement() const {
   if (admitted_.empty()) return 0;
   const auto n = static_cast<std::int64_t>(admitted_.size());
-  return DramForCached(n, total_rate_ / static_cast<double>(n)).dram;
+  return DramFor(n, total_rate_ / static_cast<double>(n), nullptr);
 }
 
 }  // namespace memstream::server

@@ -51,10 +51,8 @@ struct AdmissionDecision {
 ///
 /// The sizing is a pure function of (n, B̄): the controller maintains the
 /// aggregate terms (stream count, summed bit-rate) by O(1) deltas on
-/// admit/release and memoizes the solver outcome on the bit-exact
-/// (n, B̄) key, so churny admit/depart sequences — which keep returning
-/// to recently seen loads — skip the full Theorem 1/2 re-derivation.
-/// Debug builds cross-check every memo hit against the full solver.
+/// admit/release and runs the Theorem 1/2 closed form directly on every
+/// decision. A solve costs a few flops, so nothing is cached.
 class AdmissionController {
  public:
   /// Requires a disk_latency function.
@@ -74,19 +72,11 @@ class AdmissionController {
   /// DRAM the current admitted set needs (0 when empty).
   Bytes CurrentDramRequirement() const;
 
-  /// Re-solve memo accounting (hits/misses/cross-check mismatches).
-  const model::SolveMemoStats& memo_stats() const { return memo_.stats(); }
-  /// Forces (or disables) the hit-time cross-check against the full
-  /// solver; defaults to on in debug builds only.
-  void set_cross_check(bool on) { memo_.set_cross_check(on); }
+  /// Theorem-solve count: `misses` is every solve run by TryAdmit and
+  /// CurrentDramRequirement; `hits` is always 0 (nothing is cached).
+  const model::SolveMemoStats& memo_stats() const { return solves_; }
 
  private:
-  /// Memoized outcome of one (n, B̄) sizing.
-  struct DramSolve {
-    Bytes dram = 0;
-    std::string reason;  ///< set when dram is infinite
-  };
-
   explicit AdmissionController(AdmissionConfig config)
       : config_(std::move(config)) {
     if (config_.metrics != nullptr) {
@@ -102,17 +92,14 @@ class AdmissionController {
   }
 
   /// Total DRAM needed for n streams at average rate `avg`; infinity
-  /// when infeasible.
+  /// (with `reason` set, when non-null) when infeasible.
   Bytes DramFor(std::int64_t n, BytesPerSecond avg,
                 std::string* reason) const;
-
-  /// DramFor through the (n, B̄) memo.
-  const DramSolve& DramForCached(std::int64_t n, BytesPerSecond avg) const;
 
   AdmissionConfig config_;
   std::vector<BytesPerSecond> admitted_;
   BytesPerSecond total_rate_ = 0;
-  mutable model::SolveMemo<DramSolve> memo_;
+  mutable model::SolveMemoStats solves_;
   // Telemetry handles (null when the matching config member is null).
   obs::Counter* attempts_metric_ = nullptr;
   obs::Counter* admitted_metric_ = nullptr;

@@ -629,9 +629,13 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
       --cache_quota;
       TransitionStream(i, Placement::kCache);
       // Longer degraded cycles leave a deposit gap at the switch; the
-      // re-plan bridges it with the slack-funded prefetch.
+      // re-plan bridges it with the slack-funded prefetch. As on the
+      // disk path, the cushion covers the double-buffered cycle: a
+      // stream's deposit may land anywhere in the new cycle, so one
+      // cycle's worth alone leaves no room for in-cycle order jitter.
       if (config_.mems_cycle > old_mems_cycle && play_.playing(i)) {
-        CushionDeposit(i, streams_[i].bit_rate * config_.mems_cycle);
+        CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
+                              config_.mems_cycle);
       }
       if (config_.mems_cycle > old_mems_cycle && journal_ != nullptr &&
           jslot_[i] >= 0) {
@@ -807,15 +811,6 @@ Status CacheStreamingServer::Run(Seconds duration) {
         ->Set(report_.peak_dram_demand);
     metrics->gauge("prof.server.cache.arena_high_water_bytes")
         ->Set(static_cast<double>(arena_.high_water()));
-    if (config_.degradation != nullptr) {
-      const model::SolveMemoStats& memo = config_.degradation->replan_stats();
-      metrics->gauge("prof.server.cache.replan_memo_hits")
-          ->Set(static_cast<double>(memo.hits));
-      metrics->gauge("prof.server.cache.replan_memo_misses")
-          ->Set(static_cast<double>(memo.misses));
-      metrics->gauge("prof.server.cache.replan_memo_mismatches")
-          ->Set(static_cast<double>(memo.mismatches));
-    }
     if (disk_ != nullptr) obs::ExportDeviceStats(metrics, *disk_, duration);
     for (const auto& dev : bank_) {
       obs::ExportDeviceStats(metrics, dev, duration);

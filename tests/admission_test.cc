@@ -1,8 +1,14 @@
 #include "server/admission.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "device/device_catalog.h"
+#include "model/incremental.h"
+#include "model/stream.h"
 
 namespace memstream::server {
 namespace {
@@ -119,6 +125,75 @@ TEST(AdmissionTest, CreateValidatesConfig) {
   AdmissionConfig bad_buffer = DirectConfig(1 * kGB);
   bad_buffer.buffer_k = 2;  // but no mems profile
   EXPECT_FALSE(AdmissionController::Create(bad_buffer).ok());
+}
+
+// Admission state is a pure function of the admitted multiset: after any
+// admit/release churn, a controller decides exactly like a fresh one that
+// admitted only the survivors. Table-1 rates are integral bytes/s, so the
+// summed rate is exact in any order and the comparison can be bit-exact.
+TEST(AdmissionTest, ChurnedControllerMatchesFreshOneOverSurvivors) {
+  for (const std::int64_t buffer_k : {0, 2}) {
+    const AdmissionConfig config = buffer_k == 0
+                                       ? DirectConfig(2 * kGB)
+                                       : BufferedConfig(2 * kGB, buffer_k);
+    auto churned = AdmissionController::Create(config);
+    ASSERT_TRUE(churned.ok());
+
+    std::vector<BytesPerSecond> rates;
+    for (const auto& c : model::PaperStreamClasses()) {
+      rates.push_back(c.bit_rate);
+    }
+    Rng rng(404 + static_cast<std::uint64_t>(buffer_k));
+    std::vector<BytesPerSecond> live;
+    std::int64_t rejected = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (live.empty() || rng.NextInt(0, 2) != 0) {
+        const BytesPerSecond r = rates[static_cast<std::size_t>(
+            rng.NextInt(0, static_cast<std::int64_t>(rates.size()) - 1))];
+        if (churned.value().TryAdmit(r).admitted) {
+          live.push_back(r);
+        } else {
+          ++rejected;
+        }
+      } else {
+        const auto victim = static_cast<std::size_t>(rng.NextInt(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        ASSERT_TRUE(churned.value().Release(live[victim]).ok());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+    // The churn must reach capacity, or rejections go untested.
+    ASSERT_GT(rejected, 0) << "buffer_k=" << buffer_k;
+    ASSERT_FALSE(live.empty());
+
+    auto fresh = AdmissionController::Create(config);
+    ASSERT_TRUE(fresh.ok());
+    for (const BytesPerSecond r : live) {
+      ASSERT_TRUE(fresh.value().TryAdmit(r).admitted);
+    }
+    ASSERT_EQ(churned.value().admitted_count(), fresh.value().admitted_count());
+    EXPECT_EQ(model::DoubleBits(churned.value().total_bit_rate()),
+              model::DoubleBits(fresh.value().total_bit_rate()));
+    EXPECT_EQ(model::DoubleBits(churned.value().CurrentDramRequirement()),
+              model::DoubleBits(fresh.value().CurrentDramRequirement()));
+
+    // Offer every rate to copies of both: identical decisions, bit for bit.
+    for (const BytesPerSecond r : rates) {
+      AdmissionController a = churned.value();
+      AdmissionController b = fresh.value();
+      const AdmissionDecision da = a.TryAdmit(r);
+      const AdmissionDecision db = b.TryAdmit(r);
+      EXPECT_EQ(da.admitted, db.admitted) << "rate=" << r;
+      EXPECT_EQ(da.streams_after, db.streams_after) << "rate=" << r;
+      EXPECT_EQ(model::DoubleBits(da.dram_required),
+                model::DoubleBits(db.dram_required))
+          << "rate=" << r;
+      EXPECT_EQ(da.reason, db.reason) << "rate=" << r;
+      EXPECT_EQ(model::DoubleBits(a.CurrentDramRequirement()),
+                model::DoubleBits(b.CurrentDramRequirement()))
+          << "rate=" << r;
+    }
+  }
 }
 
 }  // namespace

@@ -114,6 +114,30 @@ TEST(DegradationTest, DisabledFallbackShedsEverythingOnCacheDown) {
   EXPECT_FALSE(plan.feasible);
 }
 
+TEST(DegradationTest, EveryDegradedStateAccountsForEachCachedStream) {
+  // Over every bank state a fault/repair walk can reach, a re-plan keeps,
+  // moves or sheds each cached stream exactly once, and never keeps more
+  // than the degraded bank sustains.
+  for (const auto policy :
+       {model::CachePolicy::kReplicated, model::CachePolicy::kStriped}) {
+    auto config = BaseConfig(policy);
+    config.k = 4;
+    config.n_cache = 60;
+    config.bit_rate = 1 * kMBps;
+    auto manager = DegradationManager::Create(config);
+    ASSERT_TRUE(manager.ok());
+    for (std::int64_t alive = 0; alive <= config.k; ++alive) {
+      for (const double rate_scale : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+        const CacheReplan plan = manager.value().Replan(alive, rate_scale);
+        EXPECT_EQ(plan.retained + plan.to_disk + plan.shed, config.n_cache)
+            << "alive=" << alive << " rate_scale=" << rate_scale;
+        EXPECT_LE(plan.retained,
+                  manager.value().MaxSustainable(alive, rate_scale));
+      }
+    }
+  }
+}
+
 TEST(DegradationTest, CreateValidates) {
   DegradationConfig config = BaseConfig(model::CachePolicy::kReplicated);
   config.k = 0;

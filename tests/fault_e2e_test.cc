@@ -14,6 +14,7 @@
 
 #include "exp/sweep_runner.h"
 #include "fault/fault_plan.h"
+#include "model/stream.h"
 #include "obs/run_report.h"
 #include "server/media_server.h"
 
@@ -133,6 +134,42 @@ TEST(FaultE2eTest, UnmanagedStripedBankStallsWithoutDegradation) {
   ASSERT_NE(result.value().faults, nullptr);
   EXPECT_EQ(result.value().faults->block().replans, 0);
   EXPECT_EQ(result.value().faults->block().sheds, 0);
+}
+
+// Three non-overlapping single-device outages (dev0 at ~3.05 s and
+// ~14.48 s, dev1 at ~33.48 s, 4 s each) on a replicated DVD bank. Every
+// outage reshapes to k' = 1 with a longer MEMS cycle; the reshape must
+// cushion each retained stream for the double-buffered new cycle, or
+// the third outage drains the highest-indexed streams dry.
+TEST(FaultE2eTest, ReplicatedReshapeCushionsRepeatedOutages) {
+  fault::FaultPlanConfig pc;
+  pc.horizon = 200;
+  pc.num_devices = 2;
+  pc.device_fail_rate = 0.02;
+  pc.repair_after = 4;
+  auto plan = fault::FaultPlan::Generate(pc, 7000);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  MediaServerConfig config;
+  config.mode = ServerMode::kMemsCache;
+  config.cache_policy = model::CachePolicy::kReplicated;
+  config.disk.inner_rate = config.disk.outer_rate;
+  config.k = 2;
+  config.num_streams = 60;
+  config.cached_fraction_of_streams = 0.5;
+  config.bit_rate = model::Dvd().bit_rate;
+  config.sim_duration = 40;
+  config.seed = 7;
+  config.fault_plan = std::move(plan).value();
+  std::ostringstream sink;
+  config.fault_warn_stream = &sink;
+  auto result = RunMediaServer(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  ASSERT_NE(result.value().faults, nullptr);
+  EXPECT_EQ(result.value().faults->block().sheds, 0);
+  EXPECT_EQ(result.value().qos.underflow_events, 0);
+  EXPECT_EQ(result.value().qos.violations, 0) << ViolationDump(result.value());
 }
 
 std::string ReportJsonForTask(std::int64_t index) {

@@ -1,34 +1,28 @@
-// The incremental re-solve layer is only trusted where it is provably
-// equal to the full derivation. This test pins that equivalence down:
+// The Theorem kernels in model/incremental.h are the single
+// implementation of each closed-form sizing; the Result-returning solvers
+// wrap them with argument checks and classified errors. This test pins
+// that mapping and the searches built on the kernels:
 //
-//  - probe kernels vs Result-returning solvers: over randomized
-//    parameters (feasible and infeasible alike), a feasible probe must
-//    be bit-identical to the full solve and an infeasible one must be
-//    NaN exactly when the full solve is non-OK;
+//  - kernels vs Result-returning solvers: over randomized parameters
+//    (feasible and infeasible alike), a kernel returns NaN exactly when
+//    the solver is non-OK, and the solver's value otherwise;
 //  - LargestTrueInline vs math_utils' LargestTrue on random monotone
 //    predicates;
-//  - the admission and degradation re-solve memos under randomized
-//    admit/depart and fault/repair sequences, with the hit-time
-//    cross-check forced on — any divergence between the memoized and
-//    the full path lands in stats().mismatches;
 //  - BreakEvenCostFactor's hoisted bisection vs a reference that runs
 //    the full EvaluateSensitivity at every probe.
 
 #include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/math_utils.h"
 #include "common/random.h"
 #include "device/device_catalog.h"
-#include "fault/degradation.h"
 #include "model/incremental.h"
 #include "model/mems_cache.h"
 #include "model/profiles.h"
 #include "model/sensitivity.h"
 #include "model/timecycle.h"
-#include "server/admission.h"
 
 namespace memstream {
 namespace {
@@ -131,82 +125,6 @@ TEST(ProbeKernelTest, LargestTrueInlineMatchesLargestTrue) {
       ASSERT_EQ(inline_best, lo - 1)
           << "lo=" << lo << " hi=" << hi << " threshold=" << threshold;
     }
-  }
-}
-
-TEST(SolveMemoTest, AdmissionChurnNeverDivergesFromFullSolver) {
-  for (const std::int64_t buffer_k : {0, 2}) {
-    auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
-    server::AdmissionConfig config;
-    config.dram_budget = 2 * kGB;
-    config.disk_rate = 300 * kMBps;
-    config.disk_latency = model::DiskLatencyFn(disk);
-    config.buffer_k = buffer_k;
-    config.mems.rate = 320 * kMBps;
-    config.mems.latency = 0.86 * kMillisecond;
-    config.mems.capacity = 10 * kGB;
-    auto ctrl = server::AdmissionController::Create(config);
-    ASSERT_TRUE(ctrl.ok());
-    ctrl.value().set_cross_check(true);
-
-    // Churn across a small pool of rates so (n, B̄) keys recur; every
-    // memo hit re-runs the full solver and compares.
-    const BytesPerSecond rates[] = {500 * kKBps, 1 * kMBps, 2 * kMBps};
-    Rng rng(404 + buffer_k);
-    std::vector<BytesPerSecond> live;
-    for (int step = 0; step < 4000; ++step) {
-      if (live.empty() || rng.NextInt(0, 2) != 0) {
-        const BytesPerSecond r = rates[rng.NextInt(0, 2)];
-        if (ctrl.value().TryAdmit(r).admitted) live.push_back(r);
-      } else {
-        const auto victim =
-            static_cast<std::size_t>(rng.NextInt(
-                0, static_cast<std::int64_t>(live.size()) - 1));
-        ASSERT_TRUE(ctrl.value().Release(live[victim]).ok());
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      }
-      (void)ctrl.value().CurrentDramRequirement();
-    }
-    const auto& stats = ctrl.value().memo_stats();
-    EXPECT_GT(stats.hits, 0);
-    EXPECT_GT(stats.cross_checks, 0);
-    EXPECT_EQ(stats.mismatches, 0) << "buffer_k=" << buffer_k;
-  }
-}
-
-TEST(SolveMemoTest, DegradationReplanNeverDivergesFromFullSolver) {
-  for (const auto policy :
-       {model::CachePolicy::kReplicated, model::CachePolicy::kStriped}) {
-    fault::DegradationConfig config;
-    config.policy = policy;
-    config.k = 4;
-    config.bit_rate = 1 * kMBps;
-    config.mems.rate = 76 * kMBps;
-    config.mems.latency = 0.86 * kMillisecond;
-    config.disk.rate = 300 * kMBps;
-    config.disk.latency = 4.3 * kMillisecond;
-    config.n_disk = 10;
-    config.n_cache = 60;
-    auto manager = fault::DegradationManager::Create(config);
-    ASSERT_TRUE(manager.ok());
-    manager.value().set_cross_check(true);
-
-    // Randomized fault/repair walk revisiting degraded states; memo
-    // hits cross-check against ReplanFull / MaxSustainableFull.
-    Rng rng(505 + static_cast<int>(policy));
-    for (int step = 0; step < 3000; ++step) {
-      const std::int64_t alive = rng.NextInt(0, config.k);
-      const double rate_scale = 0.25 * rng.NextInt(0, 4);
-      const auto& plan = manager.value().Replan(alive, rate_scale);
-      (void)manager.value().MaxSustainable(alive, rate_scale);
-      // A replan never invents streams.
-      ASSERT_LE(plan.retained + plan.to_disk + plan.shed,
-                config.n_cache + config.k);
-    }
-    const auto& stats = manager.value().replan_stats();
-    EXPECT_GT(stats.hits, 0);
-    EXPECT_GT(stats.cross_checks, 0);
-    EXPECT_EQ(stats.mismatches, 0);
   }
 }
 

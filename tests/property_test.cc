@@ -44,7 +44,8 @@ INSTANTIATE_TEST_SUITE_P(
                       LoadPoint{200, 1e6}, LoadPoint{5, 10e6},
                       LoadPoint{25, 10e6}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "b" +
+      const std::string n = std::to_string(info.param.n);
+      return "n" + n + "b" +
              std::to_string(static_cast<int>(info.param.bit_rate / 1000));
     });
 
@@ -124,8 +125,13 @@ TEST_P(Theorem2Property, SchedulableSizingDominatesPaperSizing) {
 
 // --- Cache properties over policy x k ---------------------------------------
 
+// gtest prints a parameter without PrintTo as its raw bytes, and test
+// discovery puts that dump into the test name, so the gap between `policy`
+// and `k` is an explicit zeroed member: left as padding it held stack
+// garbage and the names changed from run to run.
 struct CachePoint {
   CachePolicy policy;
+  std::int32_t zero = 0;
   std::int64_t k;
 };
 
@@ -133,21 +139,21 @@ class CacheProperty : public ::testing::TestWithParam<CachePoint> {};
 
 INSTANTIATE_TEST_SUITE_P(
     PolicySweep, CacheProperty,
-    ::testing::Values(CachePoint{CachePolicy::kStriped, 1},
-                      CachePoint{CachePolicy::kStriped, 2},
-                      CachePoint{CachePolicy::kStriped, 4},
-                      CachePoint{CachePolicy::kStriped, 8},
-                      CachePoint{CachePolicy::kReplicated, 1},
-                      CachePoint{CachePolicy::kReplicated, 2},
-                      CachePoint{CachePolicy::kReplicated, 4},
-                      CachePoint{CachePolicy::kReplicated, 8}),
+    ::testing::Values(CachePoint{.policy = CachePolicy::kStriped, .k = 1},
+                      CachePoint{.policy = CachePolicy::kStriped, .k = 2},
+                      CachePoint{.policy = CachePolicy::kStriped, .k = 4},
+                      CachePoint{.policy = CachePolicy::kStriped, .k = 8},
+                      CachePoint{.policy = CachePolicy::kReplicated, .k = 1},
+                      CachePoint{.policy = CachePolicy::kReplicated, .k = 2},
+                      CachePoint{.policy = CachePolicy::kReplicated, .k = 4},
+                      CachePoint{.policy = CachePolicy::kReplicated, .k = 8}),
     [](const auto& info) {
       return std::string(CachePolicyName(info.param.policy)) +
              std::to_string(info.param.k);
     });
 
 TEST_P(CacheProperty, BufferMonotoneInN) {
-  const auto [policy, k] = GetParam();
+  const auto [policy, zero, k] = GetParam();
   Bytes prev = 0;
   for (std::int64_t n = 10; n <= 200; n += 10) {
     auto s = CachePerStreamBuffer(n, 1 * kMBps, k, G3Profile(), policy);
@@ -158,7 +164,7 @@ TEST_P(CacheProperty, BufferMonotoneInN) {
 }
 
 TEST_P(CacheProperty, ReplicationNeverNeedsMoreThanStriping) {
-  const auto [policy, k] = GetParam();
+  const auto [policy, zero, k] = GetParam();
   (void)policy;
   for (std::int64_t n : {20, 100, 300}) {
     auto striped =
@@ -174,7 +180,7 @@ TEST_P(CacheProperty, ReplicationNeverNeedsMoreThanStriping) {
 }
 
 TEST_P(CacheProperty, HitRateTimesStreamsNeverExceedsBandwidth) {
-  const auto [policy, k] = GetParam();
+  const auto [policy, zero, k] = GetParam();
   const BytesPerSecond b = 1 * kMBps;
   const auto cap = MaxCacheStreamsBandwidthBound(b, k, 320 * kMBps, policy);
   EXPECT_TRUE(CacheCanSustain(cap, b, k, 320 * kMBps, policy));
@@ -188,8 +194,9 @@ class PopularityProperty : public ::testing::TestWithParam<double> {};
 INSTANTIATE_TEST_SUITE_P(SkewSweep, PopularityProperty,
                          ::testing::Values(0.01, 0.05, 0.10, 0.20, 0.50),
                          [](const auto& info) {
-                           return "x" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           const std::string percent = std::to_string(
+                               static_cast<int>(info.param * 100));
+                           return "x" + percent;
                          });
 
 TEST_P(PopularityProperty, HitRateBoundsAndMonotonicity) {
