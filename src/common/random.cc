@@ -1,8 +1,10 @@
 #include "common/random.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace memstream {
 
@@ -61,8 +63,8 @@ double Rng::NextExponential(double rate) {
 }
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
-  assert(n >= 1);
-  assert(exponent >= 0);
+  assert(n >= 1 && n <= std::numeric_limits<std::uint32_t>::max());
+  assert(std::isfinite(exponent) && exponent >= 0);
   cdf_.resize(n);
   double acc = 0.0;
   for (std::size_t k = 1; k <= n; ++k) {
@@ -70,11 +72,31 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
     cdf_[k - 1] = acc;
   }
   for (auto& v : cdf_) v /= acc;
+
+  // One merged sweep: the CDF is non-decreasing, so each bucket edge's
+  // lower_bound starts where the previous edge's stopped.
+  const std::size_t buckets = std::bit_ceil(n);
+  const double inv = 1.0 / static_cast<double>(buckets);  // exact: 2^-b
+  guide_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j <= buckets; ++j) {
+    const double edge = static_cast<double>(j) * inv;
+    while (i < n && cdf_[i] < edge) ++i;
+    guide_[j] = static_cast<std::uint32_t>(i);
+  }
 }
 
-std::size_t ZipfDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+std::size_t ZipfDistribution::Quantile(double u) const {
+  // lower_bound is monotone in u, so the full-range answer for
+  // u in [j/m, (j+1)/m) lies in [guide_[j], guide_[j + 1]].
+  const std::size_t buckets = guide_.size() - 1;
+  const double scaled = u * static_cast<double>(buckets);
+  const std::size_t j =
+      scaled > 0 ? std::min(static_cast<std::size_t>(scaled), buckets - 1)
+                 : 0;
+  const auto first = cdf_.begin() + guide_[j];
+  const auto last = cdf_.begin() + guide_[j + 1];
+  auto it = std::lower_bound(first, last, u);
   if (it == cdf_.end()) --it;
   return static_cast<std::size_t>(it - cdf_.begin()) + 1;
 }

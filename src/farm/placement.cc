@@ -1,7 +1,10 @@
 #include "farm/placement.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "workload/popularity.h"
 
@@ -15,10 +18,6 @@ std::uint64_t Mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t TitleHash(std::uint64_t seed, std::int64_t title) {
-  return Mix64(seed ^ Mix64(static_cast<std::uint64_t>(title)));
 }
 
 /// High-bit tag separating ring-point inputs from title-id inputs.
@@ -39,6 +38,44 @@ Status ValidateCommon(const PlacementConfig& config) {
 
 }  // namespace
 
+std::uint64_t TitleHash(std::uint64_t seed, std::int64_t title) {
+  return Mix64(seed ^ Mix64(static_cast<std::uint64_t>(title)));
+}
+
+HashRing::HashRing(std::vector<Point> points) : points_(std::move(points)) {
+  assert(!points_.empty() &&
+         points_.size() < std::numeric_limits<std::uint32_t>::max());
+  std::sort(points_.begin(), points_.end(),
+            [](const Point& a, const Point& b) {
+              return a.hash < b.hash || (a.hash == b.hash && a.shard < b.shard);
+            });
+  const int bits =
+      std::max(1, static_cast<int>(std::bit_width(points_.size() - 1)));
+  shift_ = 64 - bits;
+  const std::size_t buckets = std::size_t{1} << bits;
+  guide_.resize(buckets + 1);
+  // One merged sweep over the sorted points; bucket j's lower edge is
+  // j << shift_, and the edge past the last bucket (2^64) is past every
+  // point.
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const std::uint64_t edge = static_cast<std::uint64_t>(j) << shift_;
+    while (i < points_.size() && points_[i].hash < edge) ++i;
+    guide_[j] = static_cast<std::uint32_t>(i);
+  }
+  guide_[buckets] = static_cast<std::uint32_t>(points_.size());
+}
+
+std::size_t HashRing::Successor(std::uint64_t h) const {
+  const std::size_t j = static_cast<std::size_t>(h >> shift_);
+  const auto first = points_.begin() + guide_[j];
+  const auto last = points_.begin() + guide_[j + 1];
+  const auto it = std::lower_bound(
+      first, last, h,
+      [](const Point& p, std::uint64_t key) { return p.hash < key; });
+  return static_cast<std::size_t>(it - points_.begin());
+}
+
 const char* PlacementPolicyName(PlacementPolicy policy) {
   switch (policy) {
     case PlacementPolicy::kConsistentHash: return "consistent_hash";
@@ -53,13 +90,14 @@ ConsistentHashPlacement::Create(const PlacementConfig& config) {
   if (config.virtual_nodes < 1) {
     return Status::InvalidArgument("virtual_nodes must be >= 1");
   }
-  auto placement =
-      std::unique_ptr<ConsistentHashPlacement>(new ConsistentHashPlacement());
-  placement->num_shards_ = config.num_shards;
-  placement->num_titles_ = config.num_titles;
-  placement->replicas_ = std::min(config.replicas, config.num_shards);
-  placement->seed_ = config.seed;
-  placement->ring_.reserve(
+  // The ring's guide table indexes points with 32-bit entries.
+  if (config.virtual_nodes >=
+      std::numeric_limits<std::uint32_t>::max() / config.num_shards) {
+    return Status::InvalidArgument(
+        "num_shards * virtual_nodes must be < 2^32");
+  }
+  std::vector<HashRing::Point> points;
+  points.reserve(
       static_cast<std::size_t>(config.num_shards * config.virtual_nodes));
   for (std::int64_t s = 0; s < config.num_shards; ++s) {
     for (std::int64_t v = 0; v < config.virtual_nodes; ++v) {
@@ -70,34 +108,29 @@ ConsistentHashPlacement::Create(const PlacementConfig& config) {
           config.seed ^ Mix64(kRingDomainTag |
                               static_cast<std::uint64_t>(s) << 20 |
                               static_cast<std::uint64_t>(v)));
-      placement->ring_.push_back({h, static_cast<std::int32_t>(s)});
+      points.push_back({h, static_cast<std::int32_t>(s)});
     }
   }
-  std::sort(placement->ring_.begin(), placement->ring_.end(),
-            [](const RingPoint& a, const RingPoint& b) {
-              return a.hash < b.hash || (a.hash == b.hash && a.shard < b.shard);
-            });
+  auto placement = std::unique_ptr<ConsistentHashPlacement>(
+      new ConsistentHashPlacement(HashRing(std::move(points))));
+  placement->num_shards_ = config.num_shards;
+  placement->num_titles_ = config.num_titles;
+  placement->replicas_ = std::min(config.replicas, config.num_shards);
+  placement->seed_ = config.seed;
   return placement;
 }
 
 ShardSet ConsistentHashPlacement::Lookup(std::int64_t title) const {
   ShardSet out;
-  const std::uint64_t h = TitleHash(seed_, title);
   // First ring point clockwise of the title's hash (wrapping).
-  std::size_t lo = 0, hi = ring_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (ring_[mid].hash < h) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const std::size_t n = ring_.size();
+  const std::vector<HashRing::Point>& points = ring_.points();
+  const std::size_t n = points.size();
+  std::size_t at = ring_.Successor(TitleHash(seed_, title));
   for (std::size_t walked = 0;
        walked < n && out.count < static_cast<std::int32_t>(replicas_);
-       ++walked) {
-    const std::int32_t s = ring_[(lo + walked) % n].shard;
+       ++walked, ++at) {
+    if (at == n) at = 0;
+    const std::int32_t s = points[at].shard;
     if (!out.Contains(s)) {
       out.shard[static_cast<std::size_t>(out.count++)] = s;
     }
@@ -108,10 +141,10 @@ ShardSet ConsistentHashPlacement::Lookup(std::int64_t title) const {
 Result<std::unique_ptr<PopularityAwarePlacement>>
 PopularityAwarePlacement::Create(const PlacementConfig& config) {
   MEMSTREAM_RETURN_IF_ERROR(ValidateCommon(config));
-  if (config.zipf_exponent < 0) {
-    return Status::InvalidArgument("zipf_exponent must be >= 0");
+  if (!(std::isfinite(config.zipf_exponent) && config.zipf_exponent >= 0)) {
+    return Status::InvalidArgument("zipf_exponent must be finite and >= 0");
   }
-  if (config.replication_budget <= 0 || config.replication_budget > 1) {
+  if (!(config.replication_budget > 0 && config.replication_budget <= 1)) {
     return Status::InvalidArgument("replication_budget must be in (0, 1]");
   }
   auto fitted = workload::FitZipfTwoClass(

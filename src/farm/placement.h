@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -101,6 +102,43 @@ class Placement {
   std::int64_t num_titles_ = 0;
 };
 
+/// The placement hash of a title under `seed` (SplitMix64-finalized):
+/// where the title sits on a consistent-hash ring, and which shard heads
+/// its copies under popularity-aware placement.
+std::uint64_t TitleHash(std::uint64_t seed, std::int64_t title);
+
+/// A sorted ring of 64-bit hash points with an O(1) successor index.
+///
+/// A guide table of m = 2^b buckets (m = bit_ceil(size), at least 2) is
+/// keyed on the top b bits of a hash: guide[j] is the first point whose
+/// hash is >= j << (64 - b). A query hash h only searches the points of
+/// its own bucket, [guide[h >> (64 - b)], guide[(h >> (64 - b)) + 1]], so
+/// the successor equals a full-range lower_bound in integer math.
+class HashRing {
+ public:
+  struct Point {
+    std::uint64_t hash = 0;
+    std::int32_t shard = 0;
+  };
+
+  /// Sorts `points` by (hash, shard) and builds the guide table.
+  /// Requires at least one and fewer than 2^32 - 1 points.
+  explicit HashRing(std::vector<Point> points);
+
+  /// Index of the first point with hash >= h; points().size() when h is
+  /// past the last point (the caller wraps).
+  std::size_t Successor(std::uint64_t h) const;
+
+  const std::vector<Point>& points() const { return points_; }
+  /// Guide-table buckets (m): a power of two >= 2.
+  std::size_t buckets() const { return guide_.size() - 1; }
+
+ private:
+  std::vector<Point> points_;        ///< sorted by (hash, shard)
+  std::vector<std::uint32_t> guide_;  ///< m + 1 entries; guide_[m] = size
+  int shift_ = 63;                    ///< 64 - b
+};
+
 /// Virtual-node consistent-hash ring over title ids.
 class ConsistentHashPlacement : public Placement {
  public:
@@ -113,15 +151,12 @@ class ConsistentHashPlacement : public Placement {
     return num_titles_ * replicas_;
   }
 
+  const HashRing& ring() const { return ring_; }
+
  private:
-  struct RingPoint {
-    std::uint64_t hash = 0;
-    std::int32_t shard = 0;
-  };
+  explicit ConsistentHashPlacement(HashRing ring) : ring_(std::move(ring)) {}
 
-  ConsistentHashPlacement() = default;
-
-  std::vector<RingPoint> ring_;  ///< sorted by hash
+  HashRing ring_;
   std::int64_t replicas_ = 1;
   std::uint64_t seed_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "farm/router.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace memstream::farm {
@@ -12,6 +13,14 @@ Result<AdmissionRouter> AdmissionRouter::Create(const Placement* placement,
   }
   if (!config.node_latency) {
     return Status::InvalidArgument("node_latency is required");
+  }
+  if (!(std::isfinite(config.node_rate) && config.node_rate > 0)) {
+    return Status::InvalidArgument("node_rate must be finite and > 0");
+  }
+  if (!(std::isfinite(config.dram_budget_per_shard) &&
+        config.dram_budget_per_shard > 0)) {
+    return Status::InvalidArgument(
+        "dram_budget_per_shard must be finite and > 0");
   }
   AdmissionRouter router(placement);
   const std::int64_t shards = placement->num_shards();

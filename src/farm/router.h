@@ -47,7 +47,9 @@ struct RouteDecision {
 
 class AdmissionRouter {
  public:
-  /// `placement` is not owned and must outlive the router.
+  /// `placement` is not owned and must outlive the router. Requires a
+  /// node_latency function and a finite node_rate and
+  /// dram_budget_per_shard > 0.
   static Result<AdmissionRouter> Create(const Placement* placement,
                                         const RouterConfig& config);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/profiler.h"
 #include "model/timecycle.h"
 #include "obs/qos_auditor.h"
 #include "server/timecycle_server.h"
@@ -126,14 +127,17 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   Rng rng(config.seed);
   std::vector<StreamRec> streams;
   streams.reserve(static_cast<std::size_t>(config.offered_streams));
-  for (std::int64_t i = 0; i < config.offered_streams; ++i) {
-    const std::int64_t title = sampler.value().Sample(rng);
-    RouteDecision d = router.value().Route(title, config.bit_rate);
-    if (d.admitted) {
-      streams.push_back({title, d.shard});
-      ++farm.admitted;
-    } else {
-      ++farm.rejected;
+  {
+    PROF_SCOPE("farm.admission_wave");
+    for (std::int64_t i = 0; i < config.offered_streams; ++i) {
+      const std::int64_t title = sampler.value().Sample(rng);
+      RouteDecision d = router.value().Route(title, config.bit_rate);
+      if (d.admitted) {
+        streams.push_back({title, d.shard});
+        ++farm.admitted;
+      } else {
+        ++farm.rejected;
+      }
     }
   }
 
@@ -192,6 +196,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
 
     // Apply this boundary's fault events (plan order) before running.
     if (epoch > 0) {
+      PROF_SCOPE("farm.fault_boundary");
       for (const fault::FaultEvent& e : config.faults.events()) {
         if (e.time != t0 || e.device < 0 || e.device >= config.num_shards) {
           continue;
@@ -260,11 +265,14 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     std::vector<std::vector<std::int64_t>> shard_streams(
         static_cast<std::size_t>(config.num_shards));
     std::int64_t serving = 0;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (streams[i].shard < 0) continue;
-      shard_streams[static_cast<std::size_t>(streams[i].shard)].push_back(
-          static_cast<std::int64_t>(i));
-      ++serving;
+    {
+      PROF_SCOPE("farm.epoch_group");
+      for (std::size_t i = 0; i < streams.size(); ++i) {
+        if (streams[i].shard < 0) continue;
+        shard_streams[static_cast<std::size_t>(streams[i].shard)].push_back(
+            static_cast<std::int64_t>(i));
+        ++serving;
+      }
     }
     const std::int64_t shed_now =
         static_cast<std::int64_t>(streams.size()) - serving;
@@ -319,6 +327,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
           dsc.deterministic = true;
           dsc.seed = ctx.seed();
           if (cfg->audit) {
+            auditor.Reserve(specs.size());
             for (const server::StreamSpec& spec : specs) {
               auditor.AddStream(spec.id, spec.bit_rate,
                                 2 * spec.bit_rate * t_cycle,
@@ -372,6 +381,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
 
     // Post-barrier merge, shard order: farm totals, then the shared
     // journal/SLO feeds (single thread, deterministic order).
+    PROF_SCOPE("farm.merge");
     for (std::int64_t s = 0; s < config.num_shards; ++s) {
       const ShardEpoch& row = rows[static_cast<std::size_t>(s)];
       if (!row.error.empty()) {

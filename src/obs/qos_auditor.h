@@ -112,6 +112,10 @@ class QosAuditor {
                         Bytes dram_bound, QosDomain domain = QosDomain::kDisk,
                         std::int64_t device = 0);
 
+  /// Reserves room for `n` registered streams, so AddStream does not
+  /// reallocate while a known-size stream set is registered.
+  void Reserve(std::size_t n) { streams_.reserve(n); }
+
   /// Freezes the stream set, allocates the per-stream audit state, and
   /// runs the setup-time checks (Eq. 7 storage bound, Eq. 8 nesting).
   /// Idempotent; hooks before Seal() are ignored.

@@ -18,8 +18,11 @@ Result<AdmissionController> AdmissionController::Create(
   if (!config.disk_latency) {
     return Status::InvalidArgument("disk_latency function is required");
   }
-  if (config.dram_budget <= 0) {
-    return Status::InvalidArgument("dram_budget must be > 0");
+  if (!(std::isfinite(config.dram_budget) && config.dram_budget > 0)) {
+    return Status::InvalidArgument("dram_budget must be finite and > 0");
+  }
+  if (!(std::isfinite(config.disk_rate) && config.disk_rate > 0)) {
+    return Status::InvalidArgument("disk_rate must be finite and > 0");
   }
   if (config.buffer_k < 0) {
     return Status::InvalidArgument("buffer_k must be >= 0");
@@ -49,10 +52,21 @@ Bytes AdmissionController::DramFor(std::int64_t n, BytesPerSecond avg,
     return kInf;
   }
 
-  auto total = model::TotalBufferSize(n, avg, disk);
-  if (total.ok()) return total.value();
-  if (reason != nullptr) *reason = total.status().ToString();
+  const double total =
+      model::ProbeTheorem1Total(n, avg, disk.rate, disk.latency);
+  if (!std::isnan(total)) return total;
+  // Infeasible: the Status solver over the same kernel names the cause.
+  if (reason != nullptr) {
+    *reason = model::TotalBufferSize(n, avg, disk).status().ToString();
+  }
   return kInf;
+}
+
+void AdmissionController::SumRates() {
+  total_rate_ = 0;
+  for (const RateClass& c : classes_) {
+    total_rate_ += c.rate * static_cast<double>(c.count);
+  }
 }
 
 AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
@@ -79,8 +93,15 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
                             ? std::move(infeasible)
                             : "DRAM budget exceeded";
     } else {
-      admitted_.push_back(bit_rate);
-      total_rate_ += bit_rate;
+      auto it = std::lower_bound(
+          classes_.begin(), classes_.end(), bit_rate,
+          [](const RateClass& c, BytesPerSecond r) { return c.rate < r; });
+      if (it == classes_.end() || it->rate != bit_rate) {
+        it = classes_.insert(it, RateClass{bit_rate, 0});
+      }
+      ++it->count;
+      ++admitted_count_;
+      SumRates();
       decision.admitted = true;
     }
   }
@@ -103,19 +124,22 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
 }
 
 Status AdmissionController::Release(BytesPerSecond bit_rate) {
-  auto it = std::find(admitted_.begin(), admitted_.end(), bit_rate);
-  if (it == admitted_.end()) {
+  auto it = std::find_if(
+      classes_.begin(), classes_.end(),
+      [bit_rate](const RateClass& c) { return c.rate == bit_rate; });
+  if (it == classes_.end()) {
     return Status::NotFound("no admitted stream with that bit_rate");
   }
-  admitted_.erase(it);
-  total_rate_ = std::max(0.0, total_rate_ - bit_rate);
+  if (--it->count == 0) classes_.erase(it);
+  --admitted_count_;
+  SumRates();
   return Status::OK();
 }
 
 Bytes AdmissionController::CurrentDramRequirement() const {
-  if (admitted_.empty()) return 0;
-  const auto n = static_cast<std::int64_t>(admitted_.size());
-  return DramFor(n, total_rate_ / static_cast<double>(n), nullptr);
+  if (admitted_count_ == 0) return 0;
+  return DramFor(admitted_count_,
+                 total_rate_ / static_cast<double>(admitted_count_), nullptr);
 }
 
 }  // namespace memstream::server

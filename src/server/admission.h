@@ -1,8 +1,9 @@
 // Model-driven admission control: a new stream is admitted only if the
 // analytical sizing (Theorem 1 directly from disk, or Theorem 2 through
 // the MEMS buffer) still fits the DRAM budget and the bandwidth bounds
-// with the stream added. The controller tracks admitted bit-rates and
-// evaluates the model at their average, matching the paper's B̄.
+// with the stream added. The controller counts admitted streams per
+// bit-rate class and evaluates the model at their average, matching the
+// paper's B̄.
 
 #ifndef MEMSTREAM_SERVER_ADMISSION_H_
 #define MEMSTREAM_SERVER_ADMISSION_H_
@@ -49,13 +50,19 @@ struct AdmissionDecision {
 
 /// Tracks the admitted set and enforces the model's feasibility bounds.
 ///
-/// The sizing is a pure function of (n, B̄): the controller maintains the
-/// aggregate terms (stream count, summed bit-rate) by O(1) deltas on
-/// admit/release and runs the Theorem 1/2 closed form directly on every
-/// decision. A solve costs a few flops, so nothing is cached.
+/// The sizing is a pure function of (n, B̄), so the admitted set is kept
+/// as integer stream counts per bit-rate class: a short vector of
+/// (rate, count) sorted by rate, one entry per distinct admitted rate.
+/// Admit and Release touch one class, O(classes), and re-sum the total
+/// rate from the classes in rate order. The state after any admit/release
+/// sequence is therefore exactly that of a fresh controller that admitted
+/// only the survivors, for any rates, and it never grows past the number
+/// of distinct live rates. Each decision runs the Theorem 1/2 closed form
+/// directly; a solve costs a few flops, so nothing is cached.
 class AdmissionController {
  public:
-  /// Requires a disk_latency function.
+  /// Requires a disk_latency function and a finite dram_budget and
+  /// disk_rate > 0.
   static Result<AdmissionController> Create(AdmissionConfig config);
 
   /// Tests a stream of `bit_rate`; admits and records it when feasible.
@@ -64,9 +71,7 @@ class AdmissionController {
   /// Removes one previously admitted stream of `bit_rate`.
   Status Release(BytesPerSecond bit_rate);
 
-  std::int64_t admitted_count() const {
-    return static_cast<std::int64_t>(admitted_.size());
-  }
+  std::int64_t admitted_count() const { return admitted_count_; }
   BytesPerSecond total_bit_rate() const { return total_rate_; }
 
   /// DRAM the current admitted set needs (0 when empty).
@@ -91,13 +96,23 @@ class AdmissionController {
     }
   }
 
+  /// Admitted streams of one bit-rate.
+  struct RateClass {
+    BytesPerSecond rate = 0;
+    std::int64_t count = 0;
+  };
+
   /// Total DRAM needed for n streams at average rate `avg`; infinity
   /// (with `reason` set, when non-null) when infeasible.
   Bytes DramFor(std::int64_t n, BytesPerSecond avg,
                 std::string* reason) const;
 
+  /// Re-sums total_rate_ from the classes in rate order.
+  void SumRates();
+
   AdmissionConfig config_;
-  std::vector<BytesPerSecond> admitted_;
+  std::vector<RateClass> classes_;  ///< sorted by rate, every count > 0
+  std::int64_t admitted_count_ = 0;
   BytesPerSecond total_rate_ = 0;
   mutable model::SolveMemoStats solves_;
   // Telemetry handles (null when the matching config member is null).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 
 namespace memstream::workload {
@@ -47,8 +48,12 @@ Result<ZipfSampler> ZipfSampler::Create(std::int64_t num_titles,
   if (num_titles < 1) {
     return Status::InvalidArgument("num_titles must be >= 1");
   }
-  if (exponent < 0) {
-    return Status::InvalidArgument("exponent must be >= 0");
+  // The sampler's CDF table is indexed with 32-bit entries.
+  if (num_titles > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument("num_titles must be < 2^32");
+  }
+  if (!(std::isfinite(exponent) && exponent >= 0)) {
+    return Status::InvalidArgument("exponent must be finite and >= 0");
   }
   return ZipfSampler(
       ZipfDistribution(static_cast<std::size_t>(num_titles), exponent));

@@ -48,6 +48,7 @@ class TwoClassSampler {
 /// Samples title indices under Zipf(s) with rank 0 most popular.
 class ZipfSampler {
  public:
+  /// Requires 1 <= num_titles < 2^32 and a finite exponent >= 0.
   static Result<ZipfSampler> Create(std::int64_t num_titles,
                                     double exponent);
 

@@ -1,6 +1,8 @@
 #include "server/admission.h"
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,10 +129,27 @@ TEST(AdmissionTest, CreateValidatesConfig) {
   EXPECT_FALSE(AdmissionController::Create(bad_buffer).ok());
 }
 
+TEST(AdmissionTest, CreateRejectsNonFiniteBudgetAndRate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf, 0.0, -1.0}) {
+    AdmissionConfig budget = DirectConfig(1 * kGB);
+    budget.dram_budget = bad;
+    EXPECT_FALSE(AdmissionController::Create(budget).ok())
+        << "dram_budget=" << bad;
+    AdmissionConfig rate = DirectConfig(1 * kGB);
+    rate.disk_rate = bad;
+    EXPECT_FALSE(AdmissionController::Create(rate).ok())
+        << "disk_rate=" << bad;
+  }
+  EXPECT_TRUE(AdmissionController::Create(DirectConfig(1 * kGB)).ok());
+}
+
 // Admission state is a pure function of the admitted multiset: after any
 // admit/release churn, a controller decides exactly like a fresh one that
-// admitted only the survivors. Table-1 rates are integral bytes/s, so the
-// summed rate is exact in any order and the comparison can be bit-exact.
+// admitted only the survivors. The controller re-sums its per-rate-class
+// counts in rate order, so the comparison is bit-exact for any rates;
+// the mix adds non-integral rates to the Table-1 ones, whose running sum
+// would round differently depending on the admit/release order.
 TEST(AdmissionTest, ChurnedControllerMatchesFreshOneOverSurvivors) {
   for (const std::int64_t buffer_k : {0, 2}) {
     const AdmissionConfig config = buffer_k == 0
@@ -142,6 +161,8 @@ TEST(AdmissionTest, ChurnedControllerMatchesFreshOneOverSurvivors) {
     std::vector<BytesPerSecond> rates;
     for (const auto& c : model::PaperStreamClasses()) {
       rates.push_back(c.bit_rate);
+      rates.push_back(c.bit_rate / 3);
+      rates.push_back(c.bit_rate * 0.7 + 0.1);
     }
     Rng rng(404 + static_cast<std::uint64_t>(buffer_k));
     std::vector<BytesPerSecond> live;

@@ -2,6 +2,9 @@
 // least-loaded replica choice, down-shard skipping, and release
 // accounting.
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "device/device_catalog.h"
@@ -38,6 +41,24 @@ TEST(AdmissionRouterTest, RequiresPlacementAndLatency) {
   RouterConfig rc = SmallRouter(1 * kGB);
   rc.node_latency = nullptr;
   EXPECT_FALSE(AdmissionRouter::Create(p.value().get(), rc).ok());
+}
+
+TEST(AdmissionRouterTest, CreateRejectsNonFiniteRateAndBudget) {
+  auto p = ConsistentHashPlacement::Create(SmallPlacement(2, 1));
+  ASSERT_TRUE(p.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf, 0.0, -1.0}) {
+    RouterConfig rate = SmallRouter(1 * kGB);
+    rate.node_rate = bad;
+    EXPECT_FALSE(AdmissionRouter::Create(p.value().get(), rate).ok())
+        << "node_rate=" << bad;
+    RouterConfig budget = SmallRouter(1 * kGB);
+    budget.dram_budget_per_shard = bad;
+    EXPECT_FALSE(AdmissionRouter::Create(p.value().get(), budget).ok())
+        << "dram_budget_per_shard=" << bad;
+  }
+  EXPECT_TRUE(AdmissionRouter::Create(p.value().get(), SmallRouter(1 * kGB))
+                  .ok());
 }
 
 TEST(AdmissionRouterTest, AdmitsUntilBudgetThenRejects) {

@@ -3,14 +3,18 @@
 // replaces global operator new with a counting version, as in
 // cycle_alloc_test).
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "farm/placement.h"
 
 namespace {
@@ -118,6 +122,99 @@ TEST(ConsistentHashPlacementTest, LookupIsAllocationFree) {
   EXPECT_GE(sum, 0);
 }
 
+// The full-range binary search that the ring's guide table narrows.
+std::size_t ReferenceSuccessor(const std::vector<HashRing::Point>& points,
+                               std::uint64_t h) {
+  return static_cast<std::size_t>(
+      std::lower_bound(points.begin(), points.end(), h,
+                       [](const HashRing::Point& p, std::uint64_t key) {
+                         return p.hash < key;
+                       }) -
+      points.begin());
+}
+
+TEST(HashRingTest, SuccessorMatchesBinarySearchOnBucketEdges) {
+  for (const std::size_t size : {1, 2, 3, 100, 8192}) {
+    Rng rng(size);
+    std::vector<HashRing::Point> points;
+    for (std::size_t i = 0; i < size; ++i) {
+      points.push_back({rng.NextU64(), static_cast<std::int32_t>(i % 7)});
+    }
+    const HashRing ring(points);
+    ASSERT_EQ(ring.points().size(), size);
+    ASSERT_TRUE(std::has_single_bit(ring.buckets()));
+    ASSERT_GE(ring.buckets(), 2u);
+    const int shift = 64 - std::countr_zero(ring.buckets());
+
+    std::vector<std::uint64_t> probes = {
+        0, 1, std::numeric_limits<std::uint64_t>::max()};
+    // Every bucket edge and its neighbours.
+    for (std::uint64_t j = 0; j < ring.buckets(); ++j) {
+      const std::uint64_t edge = j << shift;
+      probes.insert(probes.end(), {edge, edge - 1, edge + 1});
+    }
+    // Every ring point and its neighbours.
+    for (const HashRing::Point& p : ring.points()) {
+      probes.insert(probes.end(), {p.hash, p.hash - 1, p.hash + 1});
+    }
+    for (const std::uint64_t h : probes) {
+      ASSERT_EQ(ring.Successor(h), ReferenceSuccessor(ring.points(), h))
+          << "size=" << size << " h=" << h;
+    }
+  }
+}
+
+TEST(HashRingTest, PointsOnBucketEdgesAndDuplicates) {
+  // Points sitting exactly on bucket edges (and a duplicated hash) are
+  // where an off-by-one in the guide table would show.
+  std::vector<HashRing::Point> points;
+  for (std::uint64_t j = 0; j < 8; ++j) {
+    points.push_back({j << 61, static_cast<std::int32_t>(j)});
+  }
+  points.push_back({3ULL << 61, 9});
+  points.push_back({std::numeric_limits<std::uint64_t>::max(), 10});
+  const HashRing ring(points);
+  for (const HashRing::Point& p : ring.points()) {
+    for (const std::uint64_t h : {p.hash - 1, p.hash, p.hash + 1}) {
+      ASSERT_EQ(ring.Successor(h), ReferenceSuccessor(ring.points(), h))
+          << "h=" << h;
+    }
+  }
+}
+
+TEST(ConsistentHashPlacementTest, LookupMatchesReferenceRingWalk) {
+  // The flagship ring (128 shards x 64 virtual nodes) over 10^5 titles.
+  for (const std::int64_t replicas : {1, 3}) {
+    PlacementConfig config;
+    config.num_shards = 128;
+    config.virtual_nodes = 64;
+    config.num_titles = 100000;
+    config.replicas = replicas;
+    auto p = ConsistentHashPlacement::Create(config);
+    ASSERT_TRUE(p.ok());
+    const std::vector<HashRing::Point>& points = p.value()->ring().points();
+    ASSERT_EQ(points.size(), 128u * 64u);
+    for (std::int64_t t = 0; t < config.num_titles; ++t) {
+      ShardSet want;
+      std::size_t at = ReferenceSuccessor(points, TitleHash(config.seed, t));
+      for (std::size_t walked = 0;
+           walked < points.size() && want.count < replicas; ++walked) {
+        const std::int32_t s = points[(at + walked) % points.size()].shard;
+        if (!want.Contains(s)) {
+          want.shard[static_cast<std::size_t>(want.count++)] = s;
+        }
+      }
+      const ShardSet got = p.value()->Lookup(t);
+      ASSERT_EQ(got.count, want.count) << "title " << t;
+      for (std::int32_t i = 0; i < got.count; ++i) {
+        ASSERT_EQ(got.shard[static_cast<std::size_t>(i)],
+                  want.shard[static_cast<std::size_t>(i)])
+            << "title " << t;
+      }
+    }
+  }
+}
+
 TEST(PopularityAwarePlacementTest, HeadIsReplicatedTailIsNot) {
   PlacementConfig config = SmallConfig();
   config.replicas = 3;
@@ -192,6 +289,27 @@ TEST(PlacementFactoryTest, RejectsBadConfig) {
   config.replication_budget = 0;
   EXPECT_FALSE(
       MakePlacement(PlacementPolicy::kPopularityAware, config).ok());
+}
+
+TEST(PlacementFactoryTest, RejectsNonFiniteInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    PlacementConfig config = SmallConfig();
+    config.zipf_exponent = bad;
+    EXPECT_FALSE(
+        MakePlacement(PlacementPolicy::kPopularityAware, config).ok())
+        << "zipf_exponent=" << bad;
+  }
+  PlacementConfig config = SmallConfig();
+  config.replication_budget = std::nan("");
+  EXPECT_FALSE(
+      MakePlacement(PlacementPolicy::kPopularityAware, config).ok());
+  // A ring too large for the guide table's 32-bit entries.
+  config = SmallConfig();
+  config.num_shards = 1 << 16;
+  config.virtual_nodes = 1 << 16;
+  EXPECT_FALSE(
+      MakePlacement(PlacementPolicy::kConsistentHash, config).ok());
 }
 
 TEST(PlacementFactoryTest, ReplicasClampToShardCount) {

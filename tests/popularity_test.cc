@@ -1,5 +1,8 @@
 #include "workload/popularity.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace memstream::workload {
@@ -79,6 +82,15 @@ TEST(ZipfSamplerTest, SamplesInRange) {
     EXPECT_GE(t, 0);
     EXPECT_LT(t, 50);
   }
+}
+
+TEST(ZipfSamplerTest, NonFiniteExponentRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ZipfSampler::Create(100, std::nan("")).ok());
+  EXPECT_FALSE(ZipfSampler::Create(100, inf).ok());
+  EXPECT_FALSE(ZipfSampler::Create(100, -inf).ok());
+  EXPECT_FALSE(ZipfSampler::Create(100, -0.5).ok());
+  EXPECT_TRUE(ZipfSampler::Create(100, 0.0).ok());
 }
 
 TEST(FitTwoClassTest, RecoversExactTwoClassDistribution) {

@@ -1,7 +1,11 @@
 #include "common/random.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +107,55 @@ TEST(ZipfTest, SingleItemAlwaysSampled) {
   ZipfDistribution dist(1, 2.0);
   Rng rng(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(dist.Sample(rng), 1u);
+}
+
+// The full-range inverse-CDF search that the guide table narrows.
+std::size_t FullRangeRank(const std::vector<double>& cdf, double u) {
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<std::size_t>(it - cdf.begin()) + 1;
+}
+
+TEST(ZipfTest, GuideTableMatchesFullRangeLowerBound) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{20000}}) {
+    for (const double s : {0.0, 0.8, 1.5}) {
+      ZipfDistribution dist(n, s);
+      const std::vector<double>& cdf = dist.cdf();
+      ASSERT_EQ(cdf.back(), 1.0);
+
+      std::vector<double> probes = {0.0, 0x1.0p-53, 1.0 - 0x1.0p-53};
+      // Every bucket edge of any power-of-two table up to 2^p buckets
+      // (the table uses bit_ceil(n) <= 2^p), with both neighbours.
+      const int p = static_cast<int>(std::bit_width(n)) + 1;
+      const double step = std::ldexp(1.0, -p);
+      for (std::int64_t j = 0; j < (std::int64_t{1} << p); ++j) {
+        const double edge = static_cast<double>(j) * step;
+        probes.insert(probes.end(), {edge, std::nextafter(edge, 0.0),
+                                     std::nextafter(edge, 1.0)});
+      }
+      // Exact CDF values, where lower_bound switches rank.
+      for (const double c : cdf) {
+        probes.insert(probes.end(), {c, std::nextafter(c, 0.0),
+                                     std::nextafter(c, 1.0)});
+      }
+
+      std::int64_t checked = 0;
+      for (const double u : probes) {
+        if (u < 0 || u >= 1) continue;
+        ASSERT_EQ(dist.Quantile(u), FullRangeRank(cdf, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+        ++checked;
+      }
+      EXPECT_GT(checked, static_cast<std::int64_t>(2 * n));
+
+      // Sample is Quantile of the engine's next draw.
+      Rng a(77), b(77);
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(dist.Sample(a), FullRangeRank(cdf, b.NextDouble()));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -13,12 +13,18 @@
 namespace memstream::server {
 namespace {
 
+// gtest lists a parameter it cannot print as a dump of its raw bytes,
+// and test discovery puts that dump into the test name, so the gaps
+// after `mode` and `policy` are explicit zeroed members: left as
+// padding they held stack garbage and the names changed from run to run.
 struct SweepPoint {
   ServerMode mode;
+  std::int32_t zero_after_mode = 0;
   std::int64_t n;
   double bit_rate;
-  std::int64_t k;
-  model::CachePolicy policy;
+  std::int64_t k = 0;
+  model::CachePolicy policy = {};
+  std::int32_t zero_after_policy = 0;
 };
 
 std::string PointName(const ::testing::TestParamInfo<SweepPoint>& info) {
@@ -42,25 +48,29 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, ServerSweep,
     ::testing::Values(
         // Direct servers across the bit-rate decades.
-        SweepPoint{ServerMode::kDirect, 100, 10e3, 0, {}},
-        SweepPoint{ServerMode::kDirect, 100, 100e3, 0, {}},
-        SweepPoint{ServerMode::kDirect, 80, 1e6, 0, {}},
-        SweepPoint{ServerMode::kDirect, 15, 10e6, 0, {}},
-        SweepPoint{ServerMode::kDirect, 200, 1e6, 0, {}},
+        SweepPoint{.mode = ServerMode::kDirect, .n = 100, .bit_rate = 10e3},
+        SweepPoint{.mode = ServerMode::kDirect, .n = 100, .bit_rate = 100e3},
+        SweepPoint{.mode = ServerMode::kDirect, .n = 80, .bit_rate = 1e6},
+        SweepPoint{.mode = ServerMode::kDirect, .n = 15, .bit_rate = 10e6},
+        SweepPoint{.mode = ServerMode::kDirect, .n = 200, .bit_rate = 1e6},
         // MEMS buffer: bank sizes and loads.
-        SweepPoint{ServerMode::kMemsBuffer, 12, 1e6, 1, {}},
-        SweepPoint{ServerMode::kMemsBuffer, 60, 1e6, 2, {}},
-        SweepPoint{ServerMode::kMemsBuffer, 90, 1e6, 3, {}},
-        SweepPoint{ServerMode::kMemsBuffer, 120, 100e3, 2, {}},
+        SweepPoint{.mode = ServerMode::kMemsBuffer, .n = 12, .bit_rate = 1e6,
+                   .k = 1},
+        SweepPoint{.mode = ServerMode::kMemsBuffer, .n = 60, .bit_rate = 1e6,
+                   .k = 2},
+        SweepPoint{.mode = ServerMode::kMemsBuffer, .n = 90, .bit_rate = 1e6,
+                   .k = 3},
+        SweepPoint{.mode = ServerMode::kMemsBuffer, .n = 120,
+                   .bit_rate = 100e3, .k = 2},
         // MEMS cache: both policies, both bit-rates of Fig. 9.
-        SweepPoint{ServerMode::kMemsCache, 40, 1e6, 2,
-                   model::CachePolicy::kStriped},
-        SweepPoint{ServerMode::kMemsCache, 40, 1e6, 2,
-                   model::CachePolicy::kReplicated},
-        SweepPoint{ServerMode::kMemsCache, 80, 100e3, 4,
-                   model::CachePolicy::kStriped},
-        SweepPoint{ServerMode::kMemsCache, 80, 100e3, 4,
-                   model::CachePolicy::kReplicated}),
+        SweepPoint{.mode = ServerMode::kMemsCache, .n = 40, .bit_rate = 1e6,
+                   .k = 2, .policy = model::CachePolicy::kStriped},
+        SweepPoint{.mode = ServerMode::kMemsCache, .n = 40, .bit_rate = 1e6,
+                   .k = 2, .policy = model::CachePolicy::kReplicated},
+        SweepPoint{.mode = ServerMode::kMemsCache, .n = 80, .bit_rate = 100e3,
+                   .k = 4, .policy = model::CachePolicy::kStriped},
+        SweepPoint{.mode = ServerMode::kMemsCache, .n = 80, .bit_rate = 100e3,
+                   .k = 4, .policy = model::CachePolicy::kReplicated}),
     PointName);
 
 TEST_P(ServerSweep, AnalyticSizingExecutesJitterFree) {
