@@ -22,8 +22,7 @@
 #include "model/planner.h"
 #include "model/timecycle.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
-#include "obs/stream_journal.h"
+#include "obs/server_probe.h"
 #include "server/timecycle_server.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -213,7 +212,7 @@ void BM_MetricHooks(benchmark::State& state) {
     now += 1.0;
     obs::Increment(counter);
     obs::Observe(hist, 5.0);
-    obs::Update(tw, now, 42.0);
+    if (tw != nullptr) tw->Update(now, 42.0);
     benchmark::DoNotOptimize(now);
   }
   state.SetItemsProcessed(state.iterations() * 3);
@@ -221,16 +220,19 @@ void BM_MetricHooks(benchmark::State& state) {
 BENCHMARK(BM_MetricHooks)->Arg(0)->Arg(1);
 
 // End-to-end instrumentation overhead: the same DirectStreamingServer run
-// with a null registry (Arg 0) vs full telemetry (Arg 1). The two arms
-// should be within noise of each other.
+// with no probe (Arg 0) vs a probe over a live registry (Arg 1). The two
+// arms should be within noise of each other.
 void BM_DirectServerTelemetry(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   for (auto _ : state) {
     auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
     obs::MetricsRegistry registry;
+    obs::ServerSinks sinks;
+    sinks.metrics = &registry;
+    obs::ServerProbe probe(sinks);
     server::DirectServerConfig config;
     config.cycle = 0.5;
-    config.metrics = enabled ? &registry : nullptr;
+    config.probe = enabled ? &probe : nullptr;
     std::vector<server::StreamSpec> streams;
     for (int i = 0; i < 8; ++i) {
       server::StreamSpec s;
@@ -276,30 +278,36 @@ void BM_DirectServerCycles(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectServerCycles)->Arg(8)->Arg(64);
 
-// Cost of one auditor/timeline sample through the null-tolerant helpers:
-// Arg(0) = disabled (null sink: one pointer test per site), Arg(1) = a
-// live sealed auditor plus a live timeline series on the clean path.
+// Cost of one audited IO, deposit and cycle close through the server
+// probe: Arg(0) = no probe (one pointer test per hook site), Arg(1) = a
+// probe over a live sealed auditor and a live timeline recorder on the
+// clean path.
 void BM_QosAuditTimelineHooks(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   obs::QosAuditorConfig qc;
   qc.disk_cycle = 1.0;
-  obs::QosAuditor live(qc);
-  live.AddStream(0, 1 * kMBps, 4 * kMB, obs::QosDomain::kDisk);
-  live.Seal();
-  obs::QosAuditor* auditor = enabled ? &live : nullptr;
+  obs::QosAuditor auditor(qc);
+  auditor.AddStream(0, 1 * kMBps, 4 * kMB, obs::QosDomain::kDisk);
+  auditor.Seal();
   obs::TimelineRecorder recorder;
-  obs::TimelineSeries* series =
-      enabled ? recorder.AddSeries("bench.dram_bytes", "bytes") : nullptr;
+  obs::ServerSinks sinks;
+  sinks.auditor = &auditor;
+  sinks.timelines = &recorder;
+  obs::ServerProbe live(sinks);
+  live.Open("bench", 1);
+  live.AddStream(0, 1 * kMBps, 4 * kMB);
+  obs::ServerProbe* probe = enabled ? &live : nullptr;
   double now = 0;
   for (auto _ : state) {
     now += 1.0;
-    obs::RecordIo(auditor, 0, 1 * kMB);
-    obs::RecordDramLevel(auditor, 0, now, 2 * kMB);
-    obs::Record(series, now, 2 * kMB);
-    obs::EndDiskCycle(auditor, now, 0.5);
+    if (probe != nullptr) probe->IoIssued(0, 1 * kMB);
+    if (probe != nullptr) probe->IoCompleted(0, now, 1 * kMB, 2 * kMB);
+    if (probe != nullptr) {
+      probe->CycleClosed(obs::CycleDomain::kDisk, 0, now, 0.5, 1.0, false);
+    }
     benchmark::DoNotOptimize(now);
   }
-  state.SetItemsProcessed(state.iterations() * 4);
+  state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_QosAuditTimelineHooks)->Arg(0)->Arg(1);
 
@@ -327,7 +335,10 @@ void BM_DirectServerAudit(benchmark::State& state) {
                         obs::QosDomain::kDisk);
     }
     auditor.Seal();
-    config.auditor = enabled ? &auditor : nullptr;
+    obs::ServerSinks sinks;
+    sinks.auditor = &auditor;
+    obs::ServerProbe probe(sinks);
+    config.probe = enabled ? &probe : nullptr;
     auto srv = server::DirectStreamingServer::Create(&disk, streams, config);
     (void)srv.value().Run(20.0);
     benchmark::DoNotOptimize(srv.value().report().ios_completed);
@@ -361,34 +372,34 @@ void BM_ProfilerScope(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilerScope)->Arg(0)->Arg(1);
 
-// Cost of one stream-journal IO sample plus an SLO record through the
-// null-tolerant helpers: Arg(0) = disabled (null journal/slo — a
+// Cost of one journaled IO plus its underflow check and SLO record
+// through the server probe (the EDF per-IO path): Arg(0) = no probe (a
 // pointer test per site, the price every server pays when nobody wired
-// the observers), Arg(1) = a live journal slot and a live SLO. The
-// null arm should price like the disabled BM_ProfilerScope arm, and
+// the observers), Arg(1) = a probe over a live journal and SLO monitor.
+// The null arm should price like the disabled BM_ProfilerScope arm, and
 // the live arm's allocs_per_op must be zero — registration allocates,
 // the steady state never does.
 void BM_StreamJournalHooks(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   obs::StreamJournal journal;
   obs::SloMonitor monitor;
-  const std::size_t live_slot = journal.EnsureStream(0, 1 * kMBps, 1 * kMB, 0.0);
-  obs::StreamJournal* j = enabled ? &journal : nullptr;
-  const std::ptrdiff_t slot =
-      enabled ? static_cast<std::ptrdiff_t>(live_slot) : -1;
-  obs::Slo* slo =
-      enabled ? monitor.Add(obs::StandardCycleSlackSlo()) : nullptr;
+  obs::ServerSinks sinks;
+  sinks.journal = &journal;
+  sinks.slo = &monitor;
+  obs::ServerProbe live(sinks);
+  live.Open("bench", 1);
+  live.AddStream(0, 1 * kMBps, 1 * kMB);
+  obs::ServerProbe* probe = enabled ? &live : nullptr;
   double now = 0;
   const std::int64_t allocs_before =
       g_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     now += 0.5;
-    obs::JournalIo(j, slot, now, 1 * kMB, 2 * kMB);
-    obs::JournalUnderflows(j, slot, now, 0);
-    obs::SloRecord(slo, now, 1, 0);
+    if (probe != nullptr) probe->IoCompleted(0, now, 1 * kMB, 2 * kMB);
+    if (probe != nullptr) probe->StreamUnderflows(0, now, 0);
     benchmark::DoNotOptimize(now);
   }
-  state.SetItemsProcessed(state.iterations() * 3);
+  state.SetItemsProcessed(state.iterations() * 2);
   ReportAllocsPerOp(state, allocs_before);
 }
 BENCHMARK(BM_StreamJournalHooks)->Arg(0)->Arg(1);

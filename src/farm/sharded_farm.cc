@@ -7,6 +7,7 @@
 #include "common/profiler.h"
 #include "model/timecycle.h"
 #include "obs/qos_auditor.h"
+#include "obs/server_probe.h"
 #include "server/timecycle_server.h"
 #include "workload/popularity.h"
 
@@ -322,6 +323,9 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
           obs::QosAuditorConfig qac;
           qac.disk_cycle = t_cycle;
           obs::QosAuditor auditor(qac);
+          obs::ServerSinks sinks;
+          sinks.auditor = &auditor;
+          obs::ServerProbe probe(sinks);
           server::DirectServerConfig dsc;
           dsc.cycle = t_cycle;
           dsc.deterministic = true;
@@ -334,7 +338,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
                                 obs::QosDomain::kDisk);
             }
             auditor.Seal();
-            dsc.auditor = &auditor;
+            dsc.probe = &probe;
           }
 
           auto server = server::DirectStreamingServer::Create(

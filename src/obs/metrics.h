@@ -193,9 +193,6 @@ inline void Set(Gauge* g, double value) {
 inline void Observe(HistogramMetric* h, double sample) {
   if (h != nullptr) h->Observe(sample);
 }
-inline void Update(TimeWeightedGauge* g, double now, double value) {
-  if (g != nullptr) g->Update(now, value);
-}
 
 /// "server.disk.cycle_slack_ms" -> "server_disk_cycle_slack_ms": rewrites
 /// the library's dotted names into the Prometheus grammar.

@@ -303,6 +303,12 @@ void QosAuditor::RecordDramLevel(std::size_t index, Seconds now,
   }
 }
 
+Bytes QosAuditor::stream_dram_bound_sum() const {
+  Bytes total = 0;
+  for (const StreamState& s : streams_) total += s.dram_bound;
+  return total;
+}
+
 std::string QosAuditor::Summary() const {
   std::ostringstream out;
   out << "qos: " << total_violations_ << " violation"

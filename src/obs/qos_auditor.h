@@ -19,11 +19,10 @@
 // is attached — an anchor record appended to the log plus its global
 // index, so the counter-example points into the event window around it.
 //
-// Contracts (PR 1 / PR 2): servers hold a QosAuditor* that defaults to
-// null and call through the null-tolerant free helpers below, so an
-// unaudited run costs one pointer test per hook site; the audited hot
-// path allocates nothing while no violation fires (per-stream state is
-// preallocated at Seal(), the violation list is reserved up front).
+// Servers reach the auditor through their obs::ServerProbe (null probe
+// or null auditor = unaudited); the audited hot path allocates nothing
+// while no violation fires (per-stream state is preallocated at Seal(),
+// the violation list is reserved up front).
 
 #ifndef MEMSTREAM_OBS_QOS_AUDITOR_H_
 #define MEMSTREAM_OBS_QOS_AUDITOR_H_
@@ -181,6 +180,10 @@ class QosAuditor {
 
   // --- results ---
 
+  /// Sum of the per-stream DRAM sizings currently installed, in
+  /// registration order.
+  Bytes stream_dram_bound_sum() const;
+
   /// All violations seen, including ones past the retention cap.
   std::int64_t total_violations() const { return total_violations_; }
   /// The first max_violations counter-examples, in detection order.
@@ -230,23 +233,6 @@ class QosAuditor {
   Counter* violations_metric_ = nullptr;
   Counter* cycles_metric_ = nullptr;
 };
-
-// Null-tolerant hook helpers: the instrumentation idiom is a QosAuditor*
-// that defaults to null, so an unaudited hot path costs one pointer test.
-inline void EndDiskCycle(QosAuditor* a, Seconds t0, Seconds busy) {
-  if (a != nullptr) a->EndDiskCycle(t0, busy);
-}
-inline void EndMemsCycle(QosAuditor* a, std::int64_t device, Seconds t0,
-                         Seconds busy) {
-  if (a != nullptr) a->EndMemsCycle(device, t0, busy);
-}
-inline void RecordIo(QosAuditor* a, std::size_t index, Bytes bytes) {
-  if (a != nullptr) a->RecordIo(index, bytes);
-}
-inline void RecordDramLevel(QosAuditor* a, std::size_t index, Seconds now,
-                            Bytes level) {
-  if (a != nullptr) a->RecordDramLevel(index, now, level);
-}
 
 }  // namespace memstream::obs
 

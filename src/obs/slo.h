@@ -13,8 +13,8 @@
 //
 // Servers feed SLOs from existing per-cycle callbacks (no new sim
 // events, so wiring a monitor never perturbs event order or bench
-// CSVs); the hot path is allocation-free and a null monitor costs one
-// pointer test via the free helpers below. The monitor is
+// CSVs) through their obs::ServerProbe; the hot path is allocation-free.
+// The monitor is
 // mutex-guarded so the metrics_http thread can serve /slostatus and a
 // degraded /healthz while the simulation thread records.
 //
@@ -150,12 +150,6 @@ SloSpec StandardUnderflowSlo();        ///< stream-cycles without underflow
 SloSpec StandardCycleSlackSlo();       ///< cycles with non-negative slack
 SloSpec StandardAdmissionLatencySlo(); ///< admission decisions under 200us
 SloSpec StandardAvailabilitySlo();     ///< stream-cycles in service (faults)
-
-// Null-tolerant helper: the per-cycle hot-path idiom.
-inline void SloRecord(Slo* slo, double now, std::int64_t good,
-                      std::int64_t bad) {
-  if (slo != nullptr) slo->Record(now, good, bad);
-}
 
 }  // namespace memstream::obs
 

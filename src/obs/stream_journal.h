@@ -18,9 +18,8 @@
 //    the Mark* transitions) touch only preallocated storage — the
 //    cycle_alloc_test proves a journal-wired server's steady-state cycle
 //    performs zero heap allocations.
-//  - A null journal costs one pointer test per site via the free helpers
-//    at the bottom (the obs::metrics idiom). Servers resolve slots once
-//    at construction.
+//  - Servers reach the journal through their obs::ServerProbe, which
+//    resolves every stream's slot once at registration.
 //  - Per-stream event storage is bounded (StreamJournalOptions); once a
 //    stream's buffer fills, later events are counted in events_dropped
 //    but the first `events_per_stream` transitions — the interesting
@@ -207,21 +206,6 @@ class StreamJournal {
   std::deque<StreamJournalEntry> entries_;  ///< deque: stable addresses
   std::unordered_map<std::int64_t, std::size_t> slot_of_;
 };
-
-// Null-tolerant hot-path helpers (resolve the journal pointer and slot
-// once at construction; slot < 0 = stream not journaled).
-inline void JournalIo(StreamJournal* j, std::ptrdiff_t slot, double t,
-                      Bytes bytes, Bytes level) {
-  if (j != nullptr && slot >= 0) {
-    j->RecordIo(static_cast<std::size_t>(slot), t, bytes, level);
-  }
-}
-inline void JournalUnderflows(StreamJournal* j, std::ptrdiff_t slot,
-                              double t, std::int64_t count) {
-  if (j != nullptr && slot >= 0 && count > 0) {
-    j->RecordUnderflows(static_cast<std::size_t>(slot), t, count);
-  }
-}
 
 }  // namespace memstream::obs
 

@@ -4,9 +4,8 @@
 //
 // Design rules (the PR 1 / PR 2 telemetry contracts):
 //  - Handles returned by AddSeries() are stable pointers; instrumented
-//    code resolves them once at construction and records through the
-//    null-tolerant free helper, so a null recorder costs one pointer
-//    test per sample site.
+//    code (the servers' obs::ServerProbe) resolves them once at
+//    construction.
 //  - The hot path is allocation-free: every series reserves its point
 //    budget up front. When a series fills up it decimates in place
 //    (keeps every other point) and doubles its sampling stride, so a
@@ -105,12 +104,6 @@ class TimelineRecorder {
   TimelineOptions options_;
   std::deque<TimelineSeries> series_;  ///< deque: stable element addresses
 };
-
-/// Null-tolerant sample helper, mirroring the obs::metrics idiom: resolve
-/// the series handle once, call this in hot paths.
-inline void Record(TimelineSeries* series, double t, double v) {
-  if (series != nullptr) series->Record(t, v);
-}
 
 }  // namespace memstream::obs
 

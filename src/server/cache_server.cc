@@ -62,10 +62,8 @@ Result<CacheStreamingServer> CacheStreamingServer::Create(
     }
   }
   (void)any_disk;
-  if (config.auditor != nullptr &&
-      config.auditor->num_streams() != streams.size()) {
-    return Status::InvalidArgument(
-        "auditor stream registration does not match the stream set");
+  if (config.probe != nullptr) {
+    MEMSTREAM_RETURN_IF_ERROR(config.probe->CheckStreamCount(streams.size()));
   }
   return CacheStreamingServer(disk, std::move(bank), std::move(streams),
                               config, trace);
@@ -101,53 +99,21 @@ CacheStreamingServer::CacheStreamingServer(
     replicated_assign_[j % bank_.size()].push_back(cache_streams_[j]);
   }
 
-  // Resolve telemetry handles once; hot-path updates are null-guarded.
-  obs::MetricsRegistry* metrics = config_.metrics;
-  dram_occupancy_.assign(play_.size(), nullptr);
-  if (metrics != nullptr) {
-    const double disk_ms = config_.disk_cycle / kMillisecond;
-    const double mems_ms = config_.mems_cycle / kMillisecond;
-    disk_slack_hist_ = metrics->histogram("server.cache.disk.cycle_slack_ms",
-                                          {-disk_ms, disk_ms, 40});
-    mems_slack_hist_ = metrics->histogram("server.cache.mems.cycle_slack_ms",
-                                          {-mems_ms, mems_ms, 40});
-    disk_cycles_metric_ = metrics->counter("server.cache.disk.cycles");
-    mems_cycles_metric_ = metrics->counter("server.cache.mems.cycles");
-    ios_metric_ = metrics->counter("server.cache.ios");
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      dram_occupancy_[i] = metrics->time_weighted(
-          "stream." + std::to_string(play_.id(i)) + ".dram_bytes");
-    }
-  }
-  journal_ = config_.journal;
-  jslot_.assign(streams_.size(), -1);
-  uf_seen_.assign(streams_.size(), 0);
-  if (journal_ != nullptr) {
+  if (obs::ServerProbe* probe = config_.probe; probe != nullptr) {
+    probe->Open("server.cache", streams_.size());
+    probe->TrackAvailability();
     const double factor =
         config_.dram_bound_factor > 0 ? config_.dram_bound_factor : 2.0;
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const auto& s = streams_[i];
+    for (const auto& s : streams_) {
       // Cached streams live under the Theorem-3/4 MEMS-cycle envelope,
       // disk streams under Theorem 1's (matching the audited bounds).
-      const Bytes envelope =
+      probe->AddStream(
+          s.id, s.bit_rate,
           factor * s.bit_rate *
-          (s.cached ? config_.mems_cycle : config_.disk_cycle);
-      jslot_[i] = static_cast<std::ptrdiff_t>(
-          journal_->EnsureStream(s.id, s.bit_rate, envelope, 0.0));
+              (s.cached ? config_.mems_cycle : config_.disk_cycle));
     }
-  }
-  if (config_.slo != nullptr) {
-    slo_underflow_ = config_.slo->Add(obs::StandardUnderflowSlo());
-    slo_slack_ = config_.slo->Add(obs::StandardCycleSlackSlo());
-    slo_availability_ = config_.slo->Add(obs::StandardAvailabilitySlo());
-  }
-  dram_series_.assign(play_.size(), nullptr);
-  if (obs::TimelineRecorder* tl = config_.timelines; tl != nullptr) {
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      dram_series_[i] = tl->AddSeries(
-          "stream." + std::to_string(play_.id(i)) + ".dram_bytes",
-          "bytes");
-    }
+    probe->AddCycle(obs::CycleDomain::kDisk, "disk.", config_.disk_cycle);
+    probe->AddCycle(obs::CycleDomain::kMems, "mems.", config_.mems_cycle);
   }
 }
 
@@ -164,10 +130,9 @@ void CacheStreamingServer::ScheduleDeposit(std::size_t stream, Bytes bytes,
     if (done > horizon_) return;
     play_.Deposit(stream, done, bytes);
     const Bytes level = play_.LevelAt(stream, done);
-    obs::Update(dram_occupancy_[stream], done, level);
-    obs::Record(dram_series_[stream], done, level);
-    obs::RecordDramLevel(config_.auditor, stream, done, level);
-    obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+    if (config_.probe != nullptr) {
+      config_.probe->IoCompleted(stream, done, bytes, level);
+    }
     if (!play_.playing(stream) && placement_[stream] != Placement::kShed) {
       const Seconds start = std::max(done, boundary);
       if (start <= horizon_) play_.StartPlayback(stream, start);
@@ -178,10 +143,9 @@ void CacheStreamingServer::ScheduleDeposit(std::size_t stream, Bytes bytes,
                          service]() {
     play_.Deposit(stream, done, bytes);
     const Bytes level = play_.LevelAt(stream, done);
-    obs::Update(dram_occupancy_[stream], done, level);
-    obs::Record(dram_series_[stream], done, level);
-    obs::RecordDramLevel(config_.auditor, stream, done, level);
-    obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+    if (config_.probe != nullptr) {
+      config_.probe->IoCompleted(stream, done, bytes, level);
+    }
     if (trace_ != nullptr) {
       trace_->Append({done, sim::TraceKind::kIoCompleted, actor,
                       play_.id(stream), bytes, "", service});
@@ -269,8 +233,9 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
     busy += service;
     last_head_offset_ = batch[pos].offset;
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
-    obs::RecordIo(config_.auditor, serviced[pos], batch[pos].bytes);
+    if (config_.probe != nullptr) {
+      config_.probe->IoIssued(serviced[pos], batch[pos].bytes);
+    }
     ScheduleDeposit(serviced[pos], batch[pos].bytes, t0 + busy,
                     t0 + config_.disk_cycle, actor, service);
   }
@@ -279,10 +244,8 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
   const bool overrun = busy > config_.disk_cycle * (1.0 + 1e-9);
   if (overrun) ++report_.disk_overruns;
   ++report_.disk_cycles;
-  obs::Increment(disk_cycles_metric_);
-  obs::Observe(disk_slack_hist_, (config_.disk_cycle - busy) / kMillisecond);
-  obs::EndDiskCycle(config_.auditor, t0, busy);
-  ObserveCycleOutcomes(t0 + busy, overrun);
+  CycleClosed(obs::CycleDomain::kDisk, 0, t0, busy, config_.disk_cycle,
+              overrun);
   if (trace_ != nullptr && busy > 0) {
     // Scheduled so the record lands in time order among the IO records.
     const Seconds end = t0 + busy;
@@ -342,8 +305,7 @@ void CacheStreamingServer::RunStripedCycle(Seconds deadline) {
     busy += op_time;
     if (!stripe_ok) continue;
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
-    obs::RecordIo(config_.auditor, i, io_bytes);
+    if (config_.probe != nullptr) config_.probe->IoIssued(i, io_bytes);
     ScheduleDeposit(i, io_bytes, t0 + busy, t0 + config_.mems_cycle,
                     kStripedActor, op_time);
   }
@@ -357,10 +319,8 @@ void CacheStreamingServer::RunStripedCycle(Seconds deadline) {
   const bool overrun = busy > config_.mems_cycle * (1.0 + 1e-9);
   if (overrun) ++report_.mems_overruns;
   ++report_.mems_cycles;
-  obs::Increment(mems_cycles_metric_);
-  obs::Observe(mems_slack_hist_, (config_.mems_cycle - busy) / kMillisecond);
-  obs::EndMemsCycle(config_.auditor, -1, t0, busy);
-  ObserveCycleOutcomes(t0 + busy, overrun);
+  CycleClosed(obs::CycleDomain::kMems, -1, t0, busy, config_.mems_cycle,
+              overrun);
   if (trace_ != nullptr && busy > 0) {
     const Seconds end = t0 + busy;
     sim_.ScheduleAt(end, [this, end, busy]() {
@@ -408,8 +368,7 @@ void CacheStreamingServer::RunReplicatedCycle(std::size_t dev,
     if (!st.ok()) continue;  // failed device: loop exits via device_alive_
     busy += st.value();
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
-    obs::RecordIo(config_.auditor, i, io_bytes);
+    if (config_.probe != nullptr) config_.probe->IoIssued(i, io_bytes);
     ScheduleDeposit(i, io_bytes, t0 + busy, t0 + config_.mems_cycle,
                     actor, st.value());
   }
@@ -423,11 +382,8 @@ void CacheStreamingServer::RunReplicatedCycle(std::size_t dev,
   const bool overrun = busy > config_.mems_cycle * (1.0 + 1e-9);
   if (overrun) ++report_.mems_overruns;
   ++report_.mems_cycles;
-  obs::Increment(mems_cycles_metric_);
-  obs::Observe(mems_slack_hist_, (config_.mems_cycle - busy) / kMillisecond);
-  obs::EndMemsCycle(config_.auditor, static_cast<std::int64_t>(dev), t0,
-                    busy);
-  ObserveCycleOutcomes(t0 + busy, overrun);
+  CycleClosed(obs::CycleDomain::kMems, static_cast<std::int64_t>(dev), t0,
+              busy, config_.mems_cycle, overrun);
   if (trace_ != nullptr && busy > 0) {
     const Seconds end = t0 + busy;
     sim_.ScheduleAt(end, [this, actor, end, busy]() {
@@ -468,12 +424,10 @@ void CacheStreamingServer::TransitionStream(std::size_t i, Placement target) {
 
   if (target == Placement::kShed) {
     play_.PausePlayback(i, now);
-    if (config_.auditor != nullptr) config_.auditor->SetStreamActive(i, false);
+    ++shed_count_;
+    if (config_.probe != nullptr) config_.probe->Shed(i, now);
     if (faults != nullptr) {
       faults->RecordShed(play_.id(i), now, report_.mems_cycles);
-    }
-    if (journal_ != nullptr && jslot_[i] >= 0) {
-      journal_->MarkShed(static_cast<std::size_t>(jslot_[i]), now);
     }
     if (from == Placement::kDisk) {
       disk_streams_.erase(
@@ -484,21 +438,17 @@ void CacheStreamingServer::TransitionStream(std::size_t i, Placement target) {
   }
 
   if (from == Placement::kShed) {
-    if (config_.auditor != nullptr) config_.auditor->SetStreamActive(i, true);
+    --shed_count_;
+    if (config_.probe != nullptr) config_.probe->Readmitted(i, now);
     if (faults != nullptr) faults->RecordReadmit(play_.id(i), now);
-    if (journal_ != nullptr && jslot_[i] >= 0) {
-      journal_->MarkReadmitted(static_cast<std::size_t>(jslot_[i]), now);
-    }
   }
 
   if (target == Placement::kDisk) {
     disk_streams_.push_back(i);
-    if (journal_ != nullptr && jslot_[i] >= 0 && streams_[i].cached) {
+    if (config_.probe != nullptr) {
       // Disk fallback: the cached stream is still served, off its plan.
-      journal_->MarkDegraded(static_cast<std::size_t>(jslot_[i]), now, 1);
-    }
-    if (config_.auditor != nullptr) {
-      config_.auditor->SetStreamDomain(i, obs::QosDomain::kDisk);
+      if (streams_[i].cached) config_.probe->Degraded(i, now, 1);
+      config_.probe->Moved(i, obs::QosDomain::kDisk);
     }
     // The stream keeps playing across the switch; bridge the gap until
     // its first disk-cycle deposit (up to one full boundary + batch).
@@ -512,8 +462,8 @@ void CacheStreamingServer::TransitionStream(std::size_t i, Placement target) {
           std::remove(disk_streams_.begin(), disk_streams_.end(), i),
           disk_streams_.end());
     }
-    if (config_.auditor != nullptr) {
-      config_.auditor->SetStreamDomain(i, obs::QosDomain::kMems, 0);
+    if (config_.probe != nullptr) {
+      config_.probe->Moved(i, obs::QosDomain::kMems, 0);
     }
   }
 }
@@ -539,9 +489,9 @@ void CacheStreamingServer::RestartServiceLoops() {
         if (placement_[i] != Placement::kCache) continue;
         const std::size_t dev = alive[next % alive.size()];
         replicated_assign_[dev].push_back(i);
-        if (config_.auditor != nullptr) {
-          config_.auditor->SetStreamDomain(
-              i, obs::QosDomain::kMems, static_cast<std::int64_t>(dev));
+        if (config_.probe != nullptr) {
+          config_.probe->Moved(i, obs::QosDomain::kMems,
+                               static_cast<std::int64_t>(dev));
         }
         ++next;
       }
@@ -587,14 +537,14 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
   const Seconds old_disk_cycle = config_.disk_cycle;
   if (plan.retained > 0 && plan.mems_cycle > 0) {
     config_.mems_cycle = plan.mems_cycle;
-    if (config_.auditor != nullptr) {
-      config_.auditor->SetMemsCycle(plan.mems_cycle);
+    if (config_.probe != nullptr) {
+      config_.probe->CycleChanged(obs::CycleDomain::kMems, plan.mems_cycle);
     }
   }
   if (plan.to_disk > 0 && plan.disk_cycle > 0) {
     config_.disk_cycle = plan.disk_cycle;
-    if (config_.auditor != nullptr) {
-      config_.auditor->SetDiskCycle(plan.disk_cycle);
+    if (config_.probe != nullptr) {
+      config_.probe->CycleChanged(obs::CycleDomain::kDisk, plan.disk_cycle);
     }
     if (config_.disk_cycle > old_disk_cycle) {
       // The longer degraded disk cycle also stretches the deposit gap of
@@ -637,10 +587,9 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
         CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
                               config_.mems_cycle);
       }
-      if (config_.mems_cycle > old_mems_cycle && journal_ != nullptr &&
-          jslot_[i] >= 0) {
+      if (config_.mems_cycle > old_mems_cycle && config_.probe != nullptr) {
         // Reshaped (stretched) MEMS cycle: served, but off the plan.
-        journal_->MarkDegraded(static_cast<std::size_t>(jslot_[i]), now, 0);
+        config_.probe->Degraded(i, now, 0);
       }
       SetTransitionBound(i, config_.mems_cycle, carry);
     } else if (disk_quota > 0 && streams_[i].backing_extent > 0) {
@@ -654,18 +603,17 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
 
   // The re-plan just re-sized per-stream buffers; the audited total
   // budget is their sum (shed streams keep their frozen sizing).
-  if (config_.auditor != nullptr) {
-    Bytes total = 0;
-    for (Bytes b : audited_bound_) total += b;
-    config_.auditor->SetDramTotalBound(total);
-  }
+  if (config_.probe != nullptr) config_.probe->DramTotalFromStreams();
 
   RestartServiceLoops();
 }
 
 void CacheStreamingServer::SetTransitionBound(std::size_t i, Seconds cycle,
                                               Seconds carry_cycle) {
-  if (config_.auditor == nullptr || config_.dram_bound_factor <= 0) return;
+  if (config_.probe == nullptr || config_.probe->auditor() == nullptr ||
+      config_.dram_bound_factor <= 0) {
+    return;
+  }
   // Double-buffer bound on top of whatever the transition left in the
   // buffer (cushions + old-cycle deposits). Deposits land at IO
   // completion, so the old schedule can still deliver one
@@ -674,8 +622,7 @@ void CacheStreamingServer::SetTransitionBound(std::size_t i, Seconds cycle,
   const Bytes bound = play_.LevelAt(i, sim_.Now()) +
                       config_.dram_bound_factor * streams_[i].bit_rate * cycle +
                       streams_[i].bit_rate * carry_cycle;
-  audited_bound_[i] = bound;
-  config_.auditor->SetStreamDramBound(i, bound);
+  config_.probe->DramBound(i, bound);
 }
 
 void CacheStreamingServer::ApplyFaultEvent(const fault::FaultEvent& e) {
@@ -727,16 +674,6 @@ Status CacheStreamingServer::Run(Seconds duration) {
   // deposits at their true event times — both force the event-queue
   // path. Clean untraced runs take the inline fast path.
   eager_ = trace_ == nullptr && config_.faults == nullptr;
-  // Mirror the auditor's initial per-stream sizings (media_server seeds
-  // them as factor * B̄ * T of each stream's domain) so re-plans can
-  // re-derive the total DRAM budget from the bounds they install.
-  audited_bound_.resize(streams_.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    audited_bound_[i] =
-        config_.dram_bound_factor * streams_[i].bit_rate *
-        (streams_[i].cached ? config_.mems_cycle : config_.disk_cycle);
-  }
-
   if (!disk_streams_.empty()) {
     disk_running_ = true;
     MEMSTREAM_RETURN_IF_ERROR(
@@ -778,23 +715,16 @@ Status CacheStreamingServer::Run(Seconds duration) {
     report_.qos.AbsorbPlayback(play_.view(i));
     report_.peak_dram_demand += play_.peak_level(i);
   }
-  if (config_.auditor != nullptr) {
-    report_.qos.violations = config_.auditor->total_violations();
-  }
   obs::WarnDroppedTelemetry(trace_, "cache server");
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      const std::int64_t delta = play_.underflow_events(i) - uf_seen_[i];
-      uf_seen_[i] += delta;
-      obs::JournalUnderflows(journal_, jslot_[i], duration, delta);
-      if (jslot_[i] >= 0) {
-        journal_->MarkDeparted(static_cast<std::size_t>(jslot_[i]),
-                               duration);
-      }
-    }
+  if (config_.probe == nullptr) return Status::OK();
+  if (config_.probe->auditor() != nullptr) {
+    report_.qos.violations = config_.probe->auditor()->total_violations();
   }
+  config_.probe->RunFinished(
+      duration, [this](std::size_t i) { return play_.underflow_events(i); });
 
-  if (obs::MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = config_.probe->metrics();
+      metrics != nullptr) {
     metrics->gauge("server.cache.underflow_events")
         ->Set(static_cast<double>(report_.qos.underflow_events));
     metrics->gauge("server.cache.underflow_time_s")
@@ -820,33 +750,16 @@ Status CacheStreamingServer::Run(Seconds duration) {
   return Status::OK();
 }
 
-void CacheStreamingServer::ObserveCycleOutcomes(Seconds now, bool overrun) {
-  obs::SloRecord(slo_slack_, now, overrun ? 0 : 1, overrun ? 1 : 0);
-  if (journal_ == nullptr && slo_underflow_ == nullptr &&
-      slo_availability_ == nullptr) {
-    return;
-  }
-  // Underflow delta scan: the playback batch counts events cumulatively,
-  // so the delta against uf_seen_ attributes new events to this cycle.
-  std::int64_t uf_streams = 0;
-  std::int64_t shed = 0;
-  for (std::size_t i = 0; i < play_.size(); ++i) {
-    const std::int64_t delta = play_.underflow_events(i) - uf_seen_[i];
-    if (delta > 0) {
-      uf_seen_[i] += delta;
-      ++uf_streams;
-      obs::JournalUnderflows(journal_, jslot_[i], now, delta);
-    }
-    if (placement_[i] == Placement::kShed) ++shed;
-  }
-  const auto n = static_cast<std::int64_t>(play_.size());
-  if (slo_underflow_ != nullptr && n > 0) {
-    slo_underflow_->Record(now, n - uf_streams, uf_streams);
-  }
+void CacheStreamingServer::CycleClosed(obs::CycleDomain domain,
+                                       std::int64_t device, Seconds t0,
+                                       Seconds busy, Seconds cycle,
+                                       bool overrun) {
+  if (config_.probe == nullptr) return;
   // Availability under faults: every shed stream-cycle burns the budget.
-  if (slo_availability_ != nullptr && n > 0) {
-    slo_availability_->Record(now, n - shed, shed);
-  }
+  config_.probe->CycleClosed(
+      domain, device, t0, busy, cycle, overrun,
+      [this](std::size_t i) { return play_.underflow_events(i); },
+      shed_count_);
 }
 
 }  // namespace memstream::server

@@ -19,9 +19,7 @@
 #include "fault/degradation.h"
 #include "fault/fault_injector.h"
 #include "model/mems_cache.h"
-#include "obs/metrics.h"
-#include "obs/qos_auditor.h"
-#include "obs/timeline.h"
+#include "obs/server_probe.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "server/timecycle_server.h"
@@ -57,18 +55,16 @@ struct CacheServerConfig {
   device::SchedulerPolicy disk_policy = device::SchedulerPolicy::kCLook;
   bool deterministic = true;
   std::uint64_t seed = 42;
-  /// Optional telemetry: per-side cycle-slack histograms, per-stream
-  /// occupancy, run summary gauges. Null (the default) costs one pointer
-  /// test per update site. Not owned; must outlive the server.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional online QoS auditor. Register the streams in spec order:
-  /// uncached streams with domain kDisk, cached streams with domain
-  /// kMems (replicated policy: device = position-among-cached mod k;
-  /// striped: device 0, the lock-step cycle closes with device -1), and
-  /// Seal() before Run(). Not owned.
-  obs::QosAuditor* auditor = nullptr;
-  /// Optional timeline recorder: per-stream DRAM occupancy. Not owned.
-  obs::TimelineRecorder* timelines = nullptr;
+  /// Optional telemetry seam (see obs/server_probe.h). Register the
+  /// auditor's streams in spec order: uncached streams with domain kDisk,
+  /// cached streams with domain kMems (replicated policy: device =
+  /// position-among-cached mod k; striped: device 0, the lock-step cycle
+  /// closes with device -1), and Seal() before Run(). Streams
+  /// self-register at Create (cached streams under the Theorem-3/4
+  /// MEMS-cycle envelope, disk streams under Theorem 1's); degradation
+  /// verdicts land as shed / re-admitted / degraded transitions and
+  /// shed streams burn the "availability" SLO. Not owned.
+  obs::ServerProbe* probe = nullptr;
   /// Optional fault injection: the plan's device faults are applied to
   /// the bank (tip loss, fail, repair) and disk IOs pay the spike
   /// penalty. Not owned; must outlive the server.
@@ -84,14 +80,6 @@ struct CacheServerConfig {
   /// factor * B̄ * cycle); re-plans resize the audited bounds with the
   /// same factor. 0 disables bound updates.
   double dram_bound_factor = 2.0;
-  /// Optional per-stream lifecycle journal. Streams self-register at
-  /// Create (cached streams under the Theorem-3/4 MEMS-cycle envelope,
-  /// disk streams under Theorem 1's); degradation verdicts land as
-  /// kShed / kReadmitted / kDegraded transitions. Not owned.
-  obs::StreamJournal* journal = nullptr;
-  /// Optional SLO monitor: "cycle_slack" and "underflow" per cycle plus
-  /// "availability" (shed streams burn the budget). Not owned.
-  obs::SloMonitor* slo = nullptr;
 };
 
 /// Post-run statistics, split by side.
@@ -137,6 +125,10 @@ class CacheStreamingServer {
   void RunDiskCycle(Seconds deadline);
   void RunStripedCycle(Seconds deadline);
   void RunReplicatedCycle(std::size_t dev, Seconds deadline);
+  /// Feeds a closed cycle to the probe, with the underflow scan and the
+  /// availability sample (shed streams burn the budget).
+  void CycleClosed(obs::CycleDomain domain, std::int64_t device, Seconds t0,
+                   Seconds busy, Seconds cycle, bool overrun);
 
   /// Applies an IO-completion deposit: inline on the eager fast path (no
   /// trace, no faults), otherwise through the event queue so trace
@@ -201,29 +193,7 @@ class CacheStreamingServer {
   bool disk_running_ = false;
   bool cache_halted_ = false;  ///< striped content lost / bank dead
   Seconds horizon_ = 0;
-  /// Per-stream audited DRAM bound mirror: re-plans re-derive the total
-  /// budget as the sum of the per-stream sizings they just installed.
-  std::vector<Bytes> audited_bound_;
-  // Telemetry handles (null when config_.metrics is null).
-  obs::HistogramMetric* disk_slack_hist_ = nullptr;
-  obs::HistogramMetric* mems_slack_hist_ = nullptr;
-  obs::Counter* disk_cycles_metric_ = nullptr;
-  obs::Counter* mems_cycles_metric_ = nullptr;
-  obs::Counter* ios_metric_ = nullptr;
-  std::vector<obs::TimeWeightedGauge*> dram_occupancy_;  ///< per stream
-  // Timeline handles (null when config_.timelines is null).
-  std::vector<obs::TimelineSeries*> dram_series_;  ///< per stream
-  // Journal/SLO handles (null / -1 when the hooks are off).
-  obs::StreamJournal* journal_ = nullptr;
-  std::vector<std::ptrdiff_t> jslot_;      ///< per stream
-  std::vector<std::int64_t> uf_seen_;      ///< underflows already journaled
-  obs::Slo* slo_underflow_ = nullptr;
-  obs::Slo* slo_slack_ = nullptr;
-  obs::Slo* slo_availability_ = nullptr;
-
-  /// Cycle-end SLO/journal bookkeeping: slack outcome, underflow delta
-  /// scan, and the availability sample (shed streams burn the budget).
-  void ObserveCycleOutcomes(Seconds now, bool overrun);
+  std::int64_t shed_count_ = 0;  ///< streams placed kShed
 };
 
 }  // namespace memstream::server

@@ -38,10 +38,8 @@ Result<EdfStreamingServer> EdfStreamingServer::Create(
       return Status::InvalidArgument("extent smaller than one IO");
     }
   }
-  if (config.auditor != nullptr &&
-      config.auditor->num_streams() != streams.size()) {
-    return Status::InvalidArgument(
-        "auditor stream registration does not match the stream set");
+  if (config.probe != nullptr) {
+    MEMSTREAM_RETURN_IF_ERROR(config.probe->CheckStreamCount(streams.size()));
   }
   return EdfStreamingServer(disk, std::move(streams), config, trace);
 }
@@ -58,30 +56,14 @@ EdfStreamingServer::EdfStreamingServer(device::DiskDrive* disk,
   play_cursor_.assign(streams_.size(), 0);
   for (const auto& s : streams_) play_.Add(s.id, s.bit_rate);
 
-  if (obs::MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
-    ios_metric_ = metrics->counter("server.edf.ios");
-    misses_metric_ = metrics->counter("server.edf.deadline_misses");
-  }
-  journal_ = config_.journal;
-  jslot_.assign(streams_.size(), -1);
-  uf_seen_.assign(streams_.size(), 0);
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const auto& s = streams_[i];
-      jslot_[i] = static_cast<std::ptrdiff_t>(journal_->EnsureStream(
-          s.id, s.bit_rate, 2.0 * s.bit_rate * config_.io_playback, 0.0));
+  if (obs::ServerProbe* probe = config_.probe; probe != nullptr) {
+    probe->Open("server.edf", streams_.size(), /*level_gauges=*/false);
+    for (const auto& s : streams_) {
+      probe->AddStream(s.id, s.bit_rate,
+                       2.0 * s.bit_rate * config_.io_playback);
     }
-  }
-  if (config_.slo != nullptr) {
-    slo_underflow_ = config_.slo->Add(obs::StandardUnderflowSlo());
-    slo_slack_ = config_.slo->Add(obs::StandardCycleSlackSlo());
-  }
-  occupancy_series_.assign(streams_.size(), nullptr);
-  if (obs::TimelineRecorder* tl = config_.timelines; tl != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      occupancy_series_[i] = tl->AddSeries(
-          "stream." + std::to_string(streams_[i].id) + ".dram_bytes",
-          "bytes");
+    if (obs::MetricsRegistry* metrics = probe->metrics(); metrics != nullptr) {
+      misses_metric_ = metrics->counter("server.edf.deadline_misses");
     }
   }
 }
@@ -153,32 +135,25 @@ void EdfStreamingServer::ServiceNext(Seconds deadline_time) {
   const Seconds done = now + service_time;
   report_.total_busy += service_time;
   ++report_.ios_completed;
-  obs::Increment(ios_metric_);
-  obs::RecordIo(config_.auditor, chosen, io_bytes);
-  if (play_.playing(chosen) && done > best_deadline) {
-    ++report_.deadline_misses;
-    obs::Increment(misses_metric_);
-    obs::SloRecord(slo_slack_, done, 0, 1);
-  } else {
-    obs::SloRecord(slo_slack_, done, 1, 0);
+  const bool missed = play_.playing(chosen) && done > best_deadline;
+  if (missed) ++report_.deadline_misses;
+  if (config_.probe != nullptr) {
+    config_.probe->IoIssued(chosen, io_bytes);
+    if (missed) obs::Increment(misses_metric_);
+    config_.probe->SlackOutcome(done, missed);
   }
 
-  // The capture fits MoveOnlyFunction's inline buffer; the timeline
-  // series, auditor index and playback delay are reachable via
-  // this/chosen, so the per-IO event never heap-allocates.
+  // The capture fits MoveOnlyFunction's inline buffer; the probe's
+  // stream index and playback delay are reachable via this/chosen, so
+  // the per-IO event never heap-allocates.
   sim_.ScheduleAt(done, [this, chosen, io_bytes, done, deadline_time]() {
     play_.Deposit(chosen, done, io_bytes);
     const Bytes level = play_.LevelAt(chosen, done);
-    obs::Record(occupancy_series_[chosen], done, level);
-    obs::RecordDramLevel(config_.auditor, chosen, done, level);
-    obs::JournalIo(journal_, jslot_[chosen], done, io_bytes, level);
-    const std::int64_t uf =
-        play_.underflow_events(chosen) - uf_seen_[chosen];
-    if (uf > 0) {
-      uf_seen_[chosen] += uf;
-      obs::JournalUnderflows(journal_, jslot_[chosen], done, uf);
+    if (config_.probe != nullptr) {
+      config_.probe->IoCompleted(chosen, done, io_bytes, level);
+      config_.probe->StreamUnderflows(chosen, done,
+                                      play_.underflow_events(chosen));
     }
-    obs::SloRecord(slo_underflow_, done, uf > 0 ? 0 : 1, uf > 0 ? 1 : 0);
     if (trace_ != nullptr) {
       trace_->Append({done, sim::TraceKind::kIoCompleted, disk_->name(),
                       play_.id(chosen), io_bytes, "edf"});
@@ -220,22 +195,15 @@ Status EdfStreamingServer::Run(Seconds duration) {
     report_.qos.AbsorbPlayback(play_.view(i));
     report_.peak_buffer_demand += play_.peak_level(i);
   }
-  if (config_.auditor != nullptr) {
-    report_.qos.violations = config_.auditor->total_violations();
-  }
   obs::WarnDroppedTelemetry(trace_, "edf server");
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      const std::int64_t delta = play_.underflow_events(i) - uf_seen_[i];
-      uf_seen_[i] += delta;
-      obs::JournalUnderflows(journal_, jslot_[i], duration, delta);
-      if (jslot_[i] >= 0) {
-        journal_->MarkDeparted(static_cast<std::size_t>(jslot_[i]),
-                               duration);
-      }
-    }
+  if (config_.probe == nullptr) return Status::OK();
+  if (config_.probe->auditor() != nullptr) {
+    report_.qos.violations = config_.probe->auditor()->total_violations();
   }
-  if (obs::MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
+  config_.probe->RunFinished(
+      duration, [this](std::size_t i) { return play_.underflow_events(i); });
+  if (obs::MetricsRegistry* metrics = config_.probe->metrics();
+      metrics != nullptr) {
     metrics->gauge("server.edf.underflow_events")
         ->Set(static_cast<double>(report_.qos.underflow_events));
     metrics->gauge("server.edf.utilization")->Set(report_.device_utilization);

@@ -23,8 +23,7 @@
 #include "device/disk.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
-#include "obs/qos_auditor.h"
-#include "obs/timeline.h"
+#include "obs/server_probe.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "server/timecycle_server.h"
@@ -40,25 +39,17 @@ struct EdfServerConfig {
   Seconds io_playback = 1.0;
   bool deterministic = true;
   std::uint64_t seed = 42;
-  /// Optional telemetry: IO counters, run summary gauges. Null (the
-  /// default) costs one pointer test per update site. Not owned.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional online QoS auditor. EDF has no cycles, so register the
-  /// streams with domain kNone (occupancy-only audit, bound 2x the IO
-  /// size) and Seal() before Run(). Not owned.
-  obs::QosAuditor* auditor = nullptr;
-  /// Optional timeline recorder: per-stream DRAM occupancy. Not owned.
-  obs::TimelineRecorder* timelines = nullptr;
+  /// Optional telemetry seam (see obs/server_probe.h). EDF has no
+  /// cycles: register the auditor's streams with domain kNone
+  /// (occupancy-only audit, bound 2x the IO size) and Seal() before
+  /// Run(). Streams self-register at Create under the 2x-IO buffer cap
+  /// as their envelope; the "cycle_slack" SLO is fed from deadline
+  /// outcomes (a miss burns the budget) and "underflow" per serviced IO.
+  /// Not owned.
+  obs::ServerProbe* probe = nullptr;
   /// Optional fault injection: disk IOs pay the plan's latency-spike
   /// penalty; device-scoped faults are observed only. Not owned.
   fault::FaultInjector* faults = nullptr;
-  /// Optional per-stream lifecycle journal; streams self-register at
-  /// Create under the 2x-IO buffer cap as their envelope. Not owned.
-  obs::StreamJournal* journal = nullptr;
-  /// Optional SLO monitor. EDF has no cycles: the "cycle_slack" SLO is
-  /// fed from deadline outcomes (a miss burns the budget) and
-  /// "underflow" per serviced IO. Not owned.
-  obs::SloMonitor* slo = nullptr;
 };
 
 /// EDF statistics (a ServerReport subset plus scheduling counters).
@@ -111,16 +102,7 @@ class EdfStreamingServer {
   EdfServerReport report_;
   bool busy_ = false;  ///< an IO is in flight on the disk
   bool ran_ = false;
-  // Telemetry handles (null when the matching config member is null).
-  obs::Counter* ios_metric_ = nullptr;
-  obs::Counter* misses_metric_ = nullptr;
-  std::vector<obs::TimelineSeries*> occupancy_series_;  ///< per stream
-  // Journal/SLO handles (null / -1 when the hooks are off).
-  obs::StreamJournal* journal_ = nullptr;
-  std::vector<std::ptrdiff_t> jslot_;      ///< per stream
-  std::vector<std::int64_t> uf_seen_;      ///< underflows already journaled
-  obs::Slo* slo_underflow_ = nullptr;
-  obs::Slo* slo_slack_ = nullptr;
+  obs::Counter* misses_metric_ = nullptr;  ///< null without metrics
 };
 
 }  // namespace memstream::server

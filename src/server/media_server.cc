@@ -70,6 +70,13 @@ std::shared_ptr<obs::QosAuditor> MakeAuditor(const MediaServerConfig& config,
   return std::make_shared<obs::QosAuditor>(qc);
 }
 
+/// The sinks the run's probe feeds: the config's, plus its auditor.
+obs::ServerSinks Sinks(const MediaServerConfig& config,
+                       obs::QosAuditor* auditor) {
+  return {config.metrics, auditor, config.timelines, config.journal,
+          config.slo};
+}
+
 /// Builds the run's injector when the config schedules faults.
 std::shared_ptr<fault::FaultInjector> MakeInjector(
     const MediaServerConfig& config) {
@@ -98,10 +105,6 @@ Result<MediaServerResult> RunDirect(const MediaServerConfig& config) {
   server_config.cycle = cycle.value();
   server_config.deterministic = config.deterministic;
   server_config.seed = config.seed;
-  server_config.metrics = config.metrics;
-  server_config.timelines = config.timelines;
-  server_config.journal = config.journal;
-  server_config.slo = config.slo;
   const Bytes io = config.bit_rate * cycle.value();
   auto streams = PlaceStreams(config.num_streams, config.bit_rate,
                               disk.value().Capacity(), 2 * io);
@@ -115,7 +118,8 @@ Result<MediaServerResult> RunDirect(const MediaServerConfig& config) {
     }
     auditor->Seal();
   }
-  server_config.auditor = auditor.get();
+  obs::ServerProbe probe(Sinks(config, auditor.get()));
+  server_config.probe = &probe;
   auto faults = MakeInjector(config);
   server_config.faults = faults.get();
   auto server = DirectStreamingServer::Create(&disk.value(),
@@ -175,10 +179,6 @@ Result<MediaServerResult> RunBuffer(const MediaServerConfig& config) {
   server_config.t_mems = sizing.value().t_mems_snapped;
   server_config.deterministic = config.deterministic;
   server_config.seed = config.seed;
-  server_config.metrics = config.metrics;
-  server_config.timelines = config.timelines;
-  server_config.journal = config.journal;
-  server_config.slo = config.slo;
   const Bytes io = config.bit_rate * server_config.t_disk;
   auto streams = PlaceStreams(config.num_streams, config.bit_rate,
                               disk.value().Capacity(), 2 * io);
@@ -198,7 +198,8 @@ Result<MediaServerResult> RunBuffer(const MediaServerConfig& config) {
     }
     auditor->Seal();
   }
-  server_config.auditor = auditor.get();
+  obs::ServerProbe probe(Sinks(config, auditor.get()));
+  server_config.probe = &probe;
   auto faults = MakeInjector(config);
   server_config.faults = faults.get();
   auto server = MemsPipelineServer::Create(&disk.value(), std::move(bank),
@@ -345,10 +346,6 @@ Result<MediaServerResult> RunCache(const MediaServerConfig& config) {
   server_config.policy = config.cache_policy;
   server_config.deterministic = config.deterministic;
   server_config.seed = config.seed;
-  server_config.metrics = config.metrics;
-  server_config.timelines = config.timelines;
-  server_config.journal = config.journal;
-  server_config.slo = config.slo;
   // Theorem 3/4 executable bounds: each side's double-buffered schedule
   // holds at most two cycle-sized IOs per stream.
   const Bytes disk_io = config.bit_rate * disk_cycle;
@@ -377,7 +374,8 @@ Result<MediaServerResult> RunCache(const MediaServerConfig& config) {
     }
     auditor->Seal();
   }
-  server_config.auditor = auditor.get();
+  obs::ServerProbe probe(Sinks(config, auditor.get()));
+  server_config.probe = &probe;
   server_config.faults = faults.get();
   server_config.degradation = degradation.get();
   auto server = CacheStreamingServer::Create(

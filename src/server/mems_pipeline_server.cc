@@ -56,10 +56,8 @@ Result<MemsPipelineServer> MemsPipelineServer::Create(
           "MEMS capacity insufficient for the chosen T_disk (condition 7)");
     }
   }
-  if (config.auditor != nullptr &&
-      config.auditor->num_streams() != streams.size()) {
-    return Status::InvalidArgument(
-        "auditor stream registration does not match the stream set");
+  if (config.probe != nullptr) {
+    MEMSTREAM_RETURN_IF_ERROR(config.probe->CheckStreamCount(streams.size()));
   }
   return MemsPipelineServer(disk, std::move(bank), std::move(streams),
                             config, trace);
@@ -109,57 +107,18 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
     slot_base_[i] = slot_size_[i] * static_cast<double>(slot_index[dev]++);
   }
 
-  // Resolve telemetry handles once; hot-path updates are null-guarded.
-  obs::MetricsRegistry* metrics = config_.metrics;
-  dram_occupancy_.assign(streams_.size(), nullptr);
-  mems_occupancy_.assign(k, nullptr);
-  if (metrics != nullptr) {
-    const double t_disk_ms = config_.t_disk / kMillisecond;
-    const double t_mems_ms = config_.t_mems / kMillisecond;
-    disk_slack_hist_ = metrics->histogram(
-        "server.pipeline.disk.cycle_slack_ms", {-t_disk_ms, t_disk_ms, 40});
-    mems_slack_hist_ = metrics->histogram(
-        "server.pipeline.mems.cycle_slack_ms", {-t_mems_ms, t_mems_ms, 40});
-    disk_cycles_metric_ = metrics->counter("server.pipeline.disk.cycles");
-    mems_cycles_metric_ = metrics->counter("server.pipeline.mems.cycles");
-    ios_metric_ = metrics->counter("server.pipeline.ios");
-    starved_metric_ = metrics->counter("server.pipeline.starved_reads");
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      dram_occupancy_[i] = metrics->time_weighted(
-          "stream." + std::to_string(streams_[i].id) + ".dram_bytes");
+  if (obs::ServerProbe* probe = config_.probe; probe != nullptr) {
+    probe->Open("server.pipeline", streams_.size());
+    // Theorem 2: buffering through MEMS shrinks the per-stream DRAM
+    // envelope from 2*B*T_disk to 2*B*T_mems.
+    for (const auto& s : streams_) {
+      probe->AddStream(s.id, s.bit_rate, 2.0 * s.bit_rate * config_.t_mems);
     }
-    for (std::size_t d = 0; d < k; ++d) {
-      mems_occupancy_[d] = metrics->time_weighted(
-          "device." + bank_[d].name() + ".occupancy_bytes");
-    }
-  }
-  journal_ = config_.journal;
-  jslot_.assign(streams_.size(), -1);
-  uf_seen_.assign(streams_.size(), 0);
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const auto& s = streams_[i];
-      // Theorem 2: buffering through MEMS shrinks the per-stream DRAM
-      // envelope from 2*B*T_disk to 2*B*T_mems.
-      jslot_[i] = static_cast<std::ptrdiff_t>(journal_->EnsureStream(
-          s.id, s.bit_rate, 2.0 * s.bit_rate * config_.t_mems, 0.0));
-    }
-  }
-  if (config_.slo != nullptr) {
-    slo_underflow_ = config_.slo->Add(obs::StandardUnderflowSlo());
-    slo_slack_ = config_.slo->Add(obs::StandardCycleSlackSlo());
-  }
-  dram_series_.assign(streams_.size(), nullptr);
-  mems_series_.assign(k, nullptr);
-  if (obs::TimelineRecorder* tl = config_.timelines; tl != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      dram_series_[i] = tl->AddSeries(
-          "stream." + std::to_string(streams_[i].id) + ".dram_bytes",
-          "bytes");
-    }
-    for (std::size_t d = 0; d < k; ++d) {
-      mems_series_[d] = tl->AddSeries(
-          "device." + bank_[d].name() + ".occupancy_bytes", "bytes");
+    for (const auto& dev : bank_) probe->AddDeviceOccupancy(dev.name());
+    probe->AddCycle(obs::CycleDomain::kDisk, "disk.", config_.t_disk);
+    probe->AddCycle(obs::CycleDomain::kMems, "mems.", config_.t_mems);
+    if (obs::MetricsRegistry* metrics = probe->metrics(); metrics != nullptr) {
+      starved_metric_ = metrics->counter("server.pipeline.starved_reads");
     }
   }
 }
@@ -208,7 +167,7 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
     last_head_offset_ = batch[idx].offset;
     const Seconds done = t0 + busy;
     const Bytes bytes = batch[idx].bytes;
-    obs::RecordIo(config_.auditor, idx, bytes);
+    if (config_.probe != nullptr) config_.probe->IoIssued(idx, bytes);
     // The push stays event-scheduled even on the eager path: the MEMS
     // cycles must see exactly the writes whose completion time precedes
     // their cycle start, which only the event queue's time ordering
@@ -228,12 +187,11 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
   if (overrun) ++report_.disk_overruns;
   ++report_.disk_cycles;
   report_.ios_completed += static_cast<std::int64_t>(n);
-  obs::Increment(disk_cycles_metric_);
-  obs::Increment(ios_metric_, static_cast<double>(n));
-  obs::Observe(disk_slack_hist_, (config_.t_disk - busy) / kMillisecond);
-  obs::EndDiskCycle(config_.auditor, t0, busy);
-  obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
-  ObserveUnderflows(t0 + busy);
+  if (config_.probe != nullptr) {
+    config_.probe->CycleClosed(
+        obs::CycleDomain::kDisk, 0, t0, busy, config_.t_disk, overrun,
+        [this](std::size_t i) { return play_.underflow_events(i); });
+  }
   if (trace_ != nullptr && busy > 0) {
     const Seconds end = t0 + busy;
     sim_.ScheduleAt(end, [this, end, busy]() {
@@ -328,7 +286,7 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
     const Seconds service = st.value();
     const Seconds done = t0 + busy;
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
+    if (config_.probe != nullptr) config_.probe->IoIssued();
     const std::size_t stream = op.stream;
     const Bytes bytes = op.bytes;
     if (op.is_write) {
@@ -343,8 +301,9 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
           occupancy_[dev] += bytes;
           report_.peak_mems_occupancy =
               std::max(report_.peak_mems_occupancy, occupancy_[dev]);
-          obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-          obs::Record(mems_series_[dev], done, occupancy_[dev]);
+          if (config_.probe != nullptr) {
+            config_.probe->DeviceLevel(dev, done, occupancy_[dev]);
+          }
         }
         continue;
       }
@@ -354,8 +313,9 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
         occupancy_[dev] += bytes;
         report_.peak_mems_occupancy =
             std::max(report_.peak_mems_occupancy, occupancy_[dev]);
-        obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-        obs::Record(mems_series_[dev], done, occupancy_[dev]);
+        if (config_.probe != nullptr) {
+          config_.probe->DeviceLevel(dev, done, occupancy_[dev]);
+        }
         if (trace_ != nullptr) {
           trace_->Append({done, sim::TraceKind::kIoCompleted,
                           bank_[dev].name(), play_.id(stream), bytes,
@@ -373,14 +333,14 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
       if (eager_) {
         if (done <= horizon_) {
           occupancy_[dev] = std::max(0.0, occupancy_[dev] - bytes);
-          obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-          obs::Record(mems_series_[dev], done, occupancy_[dev]);
+          if (config_.probe != nullptr) {
+            config_.probe->DeviceLevel(dev, done, occupancy_[dev]);
+          }
           play_.Deposit(stream, done, bytes);
           const Bytes level = play_.LevelAt(stream, done);
-          obs::Update(dram_occupancy_[stream], done, level);
-          obs::Record(dram_series_[stream], done, level);
-          obs::RecordDramLevel(config_.auditor, stream, done, level);
-          obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+          if (config_.probe != nullptr) {
+            config_.probe->IoCompleted(stream, done, bytes, level);
+          }
           if (!play_.playing(stream)) {
             const Seconds start = std::max(done, boundary);
             if (start <= horizon_) play_.StartPlayback(stream, start);
@@ -391,14 +351,14 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
       sim_.ScheduleAt(done, [this, dev, stream, bytes, done, boundary,
                              service]() {
         occupancy_[dev] = std::max(0.0, occupancy_[dev] - bytes);
-        obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-        obs::Record(mems_series_[dev], done, occupancy_[dev]);
+        if (config_.probe != nullptr) {
+          config_.probe->DeviceLevel(dev, done, occupancy_[dev]);
+        }
         play_.Deposit(stream, done, bytes);
         const Bytes level = play_.LevelAt(stream, done);
-        obs::Update(dram_occupancy_[stream], done, level);
-        obs::Record(dram_series_[stream], done, level);
-        obs::RecordDramLevel(config_.auditor, stream, done, level);
-        obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+        if (config_.probe != nullptr) {
+          config_.probe->IoCompleted(stream, done, bytes, level);
+        }
         if (trace_ != nullptr) {
           trace_->Append({done, sim::TraceKind::kIoCompleted,
                           bank_[dev].name(), play_.id(stream), bytes,
@@ -421,11 +381,11 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
   const bool overrun = busy > config_.t_mems * (1.0 + 1e-9);
   if (overrun) ++report_.mems_overruns;
   ++report_.mems_cycles;
-  obs::Increment(mems_cycles_metric_);
-  obs::Observe(mems_slack_hist_, (config_.t_mems - busy) / kMillisecond);
-  obs::EndMemsCycle(config_.auditor, static_cast<std::int64_t>(dev), t0,
-                    busy);
-  obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
+  if (config_.probe != nullptr) {
+    config_.probe->CycleClosed(obs::CycleDomain::kMems,
+                               static_cast<std::int64_t>(dev), t0, busy,
+                               config_.t_mems, overrun);
+  }
   if (trace_ != nullptr && busy > 0) {
     const Seconds end = t0 + busy;
     const std::string actor = device.name();
@@ -520,7 +480,7 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
     }
     busy += op_time;
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
+    if (config_.probe != nullptr) config_.probe->IoIssued();
     const Seconds done = t0 + busy;
     const std::size_t stream = op.stream;
     const Bytes bytes = op.bytes;
@@ -532,8 +492,9 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
           occupancy_[0] += bytes;
           report_.peak_mems_occupancy =
               std::max(report_.peak_mems_occupancy, occupancy_[0]);
-          obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-          obs::Record(mems_series_[0], done, occupancy_[0]);
+          if (config_.probe != nullptr) {
+            config_.probe->DeviceLevel(0, done, occupancy_[0]);
+          }
         }
         continue;
       }
@@ -543,22 +504,23 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
         occupancy_[0] += bytes;
         report_.peak_mems_occupancy =
             std::max(report_.peak_mems_occupancy, occupancy_[0]);
-        obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-        obs::Record(mems_series_[0], done, occupancy_[0]);
+        if (config_.probe != nullptr) {
+          config_.probe->DeviceLevel(0, done, occupancy_[0]);
+        }
       });
     } else {
       const Seconds boundary = t0 + config_.t_mems;
       if (eager_) {
         if (done <= horizon_) {
           occupancy_[0] = std::max(0.0, occupancy_[0] - bytes);
-          obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-          obs::Record(mems_series_[0], done, occupancy_[0]);
+          if (config_.probe != nullptr) {
+            config_.probe->DeviceLevel(0, done, occupancy_[0]);
+          }
           play_.Deposit(stream, done, bytes);
           const Bytes level = play_.LevelAt(stream, done);
-          obs::Update(dram_occupancy_[stream], done, level);
-          obs::Record(dram_series_[stream], done, level);
-          obs::RecordDramLevel(config_.auditor, stream, done, level);
-          obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+          if (config_.probe != nullptr) {
+            config_.probe->IoCompleted(stream, done, bytes, level);
+          }
           if (!play_.playing(stream)) {
             const Seconds start = std::max(done, boundary);
             if (start <= horizon_) play_.StartPlayback(stream, start);
@@ -568,14 +530,14 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
       }
       sim_.ScheduleAt(done, [this, stream, bytes, done, boundary]() {
         occupancy_[0] = std::max(0.0, occupancy_[0] - bytes);
-        obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-        obs::Record(mems_series_[0], done, occupancy_[0]);
+        if (config_.probe != nullptr) {
+          config_.probe->DeviceLevel(0, done, occupancy_[0]);
+        }
         play_.Deposit(stream, done, bytes);
         const Bytes level = play_.LevelAt(stream, done);
-        obs::Update(dram_occupancy_[stream], done, level);
-        obs::Record(dram_series_[stream], done, level);
-        obs::RecordDramLevel(config_.auditor, stream, done, level);
-        obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
+        if (config_.probe != nullptr) {
+          config_.probe->IoCompleted(stream, done, bytes, level);
+        }
         if (trace_ != nullptr) {
           trace_->Append({done, sim::TraceKind::kBufferLevel, "stream",
                           play_.id(stream), level, ""});
@@ -595,10 +557,10 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
   const bool overrun = busy > config_.t_mems * (1.0 + 1e-9);
   if (overrun) ++report_.mems_overruns;
   ++report_.mems_cycles;
-  obs::Increment(mems_cycles_metric_);
-  obs::Observe(mems_slack_hist_, (config_.t_mems - busy) / kMillisecond);
-  obs::EndMemsCycle(config_.auditor, -1, t0, busy);
-  obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
+  if (config_.probe != nullptr) {
+    config_.probe->CycleClosed(obs::CycleDomain::kMems, -1, t0, busy,
+                               config_.t_mems, overrun);
+  }
   if (trace_ != nullptr && busy > 0) {
     const Seconds end = t0 + busy;
     sim_.ScheduleAt(end, [this, end, busy]() {
@@ -682,23 +644,16 @@ Status MemsPipelineServer::Run(Seconds duration) {
     report_.qos.AbsorbPlayback(play_.view(i));
     report_.peak_dram_demand += play_.peak_level(i);
   }
-  if (config_.auditor != nullptr) {
-    report_.qos.violations = config_.auditor->total_violations();
-  }
   obs::WarnDroppedTelemetry(trace_, "mems pipeline server");
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      const std::int64_t delta = play_.underflow_events(i) - uf_seen_[i];
-      uf_seen_[i] += delta;
-      obs::JournalUnderflows(journal_, jslot_[i], duration, delta);
-      if (jslot_[i] >= 0) {
-        journal_->MarkDeparted(static_cast<std::size_t>(jslot_[i]),
-                               duration);
-      }
-    }
+  if (config_.probe == nullptr) return Status::OK();
+  if (config_.probe->auditor() != nullptr) {
+    report_.qos.violations = config_.probe->auditor()->total_violations();
   }
+  config_.probe->RunFinished(
+      duration, [this](std::size_t i) { return play_.underflow_events(i); });
 
-  if (obs::MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = config_.probe->metrics();
+      metrics != nullptr) {
     metrics->gauge("server.pipeline.underflow_events")
         ->Set(static_cast<double>(report_.qos.underflow_events));
     metrics->gauge("server.pipeline.underflow_time_s")
@@ -724,26 +679,6 @@ Status MemsPipelineServer::Run(Seconds duration) {
     obs::ExportSimulatorStats(metrics, sim_);
   }
   return Status::OK();
-}
-
-void MemsPipelineServer::ObserveUnderflows(Seconds now) {
-  if (journal_ == nullptr && slo_underflow_ == nullptr) return;
-  // The playback batch counts underflow events cumulatively; the delta
-  // against uf_seen_ attributes new events to this disk cycle without
-  // touching the deposit path.
-  std::int64_t bad_streams = 0;
-  for (std::size_t i = 0; i < play_.size(); ++i) {
-    const std::int64_t delta = play_.underflow_events(i) - uf_seen_[i];
-    if (delta > 0) {
-      uf_seen_[i] += delta;
-      ++bad_streams;
-      obs::JournalUnderflows(journal_, jslot_[i], now, delta);
-    }
-  }
-  if (slo_underflow_ != nullptr && !play_.empty()) {
-    const auto n = static_cast<std::int64_t>(play_.size());
-    slo_underflow_->Record(now, n - bad_streams, bad_streams);
-  }
 }
 
 }  // namespace memstream::server

@@ -31,8 +31,7 @@
 #include "fault/fault_injector.h"
 #include "model/mems_buffer.h"
 #include "obs/metrics.h"
-#include "obs/qos_auditor.h"
-#include "obs/timeline.h"
+#include "obs/server_probe.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "server/timecycle_server.h"
@@ -56,30 +55,19 @@ struct MemsPipelineConfig {
       model::BufferPlacement::kRoundRobinStreams;
   bool deterministic = true;  ///< expected rotational delay on the disk
   std::uint64_t seed = 42;
-  /// Optional telemetry: disk/MEMS cycle-slack histograms, per-stream
-  /// and per-device occupancy, run summary gauges. Null (the default)
-  /// costs one pointer test per update site. Not owned.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional online QoS auditor. Register the streams (spec order,
-  /// domain kDisk — MEMS-side reads are legally partial through drain
-  /// jitter, so only the disk cycle's one-IO-per-stream invariant is
-  /// byte-checked) and Seal() before Run(). Not owned.
-  obs::QosAuditor* auditor = nullptr;
-  /// Optional timeline recorder: per-stream DRAM occupancy and
-  /// per-device MEMS occupancy series. Not owned.
-  obs::TimelineRecorder* timelines = nullptr;
+  /// Optional telemetry seam (see obs/server_probe.h). Register the
+  /// auditor's streams in spec order, domain kDisk — MEMS-side reads are
+  /// legally partial through drain jitter, so only the disk cycle's
+  /// one-IO-per-stream invariant is byte-checked — and Seal() before
+  /// Run(). Streams self-register at Create under the Theorem-2 DRAM
+  /// envelope (2 * B * T_mems); deposits are the MEMS->DRAM reads. Not
+  /// owned.
+  obs::ServerProbe* probe = nullptr;
   /// Optional fault injection: disk IOs pay the latency-spike penalty,
   /// MEMS tip loss slows the affected device, and a failed device stops
   /// servicing until its repair (its streams starve — the pipeline has
   /// no degradation manager; that is the cache server's job). Not owned.
   fault::FaultInjector* faults = nullptr;
-  /// Optional per-stream lifecycle journal; streams self-register at
-  /// Create under the Theorem-2 DRAM envelope (2 * B * T_mems) and IO
-  /// records come from the MEMS->DRAM deposits. Not owned.
-  obs::StreamJournal* journal = nullptr;
-  /// Optional SLO monitor: "cycle_slack" from both disk and MEMS cycle
-  /// outcomes, "underflow" scanned once per disk cycle. Not owned.
-  obs::SloMonitor* slo = nullptr;
 };
 
 /// Post-run statistics of the pipeline.
@@ -169,27 +157,7 @@ class MemsPipelineServer {
   bool eager_ = false;
   MemsPipelineReport report_;
   bool ran_ = false;
-  // Telemetry handles (null when config_.metrics is null).
-  obs::HistogramMetric* disk_slack_hist_ = nullptr;
-  obs::HistogramMetric* mems_slack_hist_ = nullptr;
-  obs::Counter* disk_cycles_metric_ = nullptr;
-  obs::Counter* mems_cycles_metric_ = nullptr;
-  obs::Counter* ios_metric_ = nullptr;
-  obs::Counter* starved_metric_ = nullptr;
-  std::vector<obs::TimeWeightedGauge*> dram_occupancy_;  ///< per stream
-  std::vector<obs::TimeWeightedGauge*> mems_occupancy_;  ///< per device
-  // Timeline handles (null when config_.timelines is null).
-  std::vector<obs::TimelineSeries*> dram_series_;  ///< per stream
-  std::vector<obs::TimelineSeries*> mems_series_;  ///< per device
-  // Journal/SLO handles (null / -1 when the hooks are off).
-  obs::StreamJournal* journal_ = nullptr;
-  std::vector<std::ptrdiff_t> jslot_;      ///< per stream
-  std::vector<std::int64_t> uf_seen_;      ///< underflows already journaled
-  obs::Slo* slo_underflow_ = nullptr;
-  obs::Slo* slo_slack_ = nullptr;
-
-  /// Per-disk-cycle underflow delta scan (journal + underflow SLO).
-  void ObserveUnderflows(Seconds now);
+  obs::Counter* starved_metric_ = nullptr;  ///< null without metrics
 };
 
 }  // namespace memstream::server

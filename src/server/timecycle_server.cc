@@ -31,10 +31,8 @@ Result<DirectStreamingServer> DirectStreamingServer::Create(
       return Status::InvalidArgument("extent smaller than one IO");
     }
   }
-  if (config.auditor != nullptr &&
-      config.auditor->num_streams() != streams.size()) {
-    return Status::InvalidArgument(
-        "auditor stream registration does not match the stream set");
+  if (config.probe != nullptr) {
+    MEMSTREAM_RETURN_IF_ERROR(config.probe->CheckStreamCount(streams.size()));
   }
   return DirectStreamingServer(disk, std::move(streams), config, trace);
 }
@@ -60,59 +58,27 @@ DirectStreamingServer::DirectStreamingServer(device::DiskDrive* disk,
     }
   }
 
-  // Resolve telemetry handles once; hot-path updates are null-guarded.
-  obs::MetricsRegistry* metrics = config_.metrics;
-  play_occupancy_.assign(play_.size(), nullptr);
-  staging_occupancy_.assign(record_.size(), nullptr);
-  if (metrics != nullptr) {
-    const double cycle_ms = config_.cycle / kMillisecond;
-    slack_hist_ = metrics->histogram("server.direct.cycle_slack_ms",
-                                     {-cycle_ms, cycle_ms, 40});
-    cycles_metric_ = metrics->counter("server.direct.cycles");
-    overruns_metric_ = metrics->counter("server.direct.cycle_overruns");
-    ios_metric_ = metrics->counter("server.direct.ios");
-    for (std::size_t i = 0; i < play_.size(); ++i) {
-      play_occupancy_[i] = metrics->time_weighted(
-          "stream." + std::to_string(play_.id(i)) + ".dram_bytes");
-    }
-    for (std::size_t i = 0; i < record_.size(); ++i) {
-      staging_occupancy_[i] = metrics->time_weighted(
-          "stream." + std::to_string(record_.id(i)) + ".staging_bytes");
-    }
-  }
-  journal_ = config_.journal;
-  jslot_.assign(streams_.size(), -1);
-  uf_seen_.assign(play_.size(), 0);
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const auto& s = streams_[i];
+  if (obs::ServerProbe* probe = config_.probe; probe != nullptr) {
+    probe->Open("server.direct", streams_.size());
+    for (const auto& s : streams_) {
       // Read streams live under the Theorem-1 double-buffer envelope
       // (2*B*T); write streams under their staging allocation.
+      const bool read = s.direction == StreamDirection::kRead;
       const Bytes envelope =
-          s.direction == StreamDirection::kRead
-              ? 2.0 * s.bit_rate * config_.cycle
-              : config_.staging_ios * s.bit_rate * config_.cycle;
-      jslot_[i] = static_cast<std::ptrdiff_t>(
-          journal_->EnsureStream(s.id, s.bit_rate, envelope, 0.0));
+          read ? 2.0 * s.bit_rate * config_.cycle
+               : config_.staging_ios * s.bit_rate * config_.cycle;
+      probe->AddStream(s.id, s.bit_rate, envelope, read);
     }
+    probe->AddCycle(obs::CycleDomain::kDisk, "", config_.cycle,
+                    /*count_overruns=*/true,
+                    "device." + disk_->name() + ".cycle_utilization");
   }
-  if (config_.slo != nullptr) {
-    slo_underflow_ = config_.slo->Add(obs::StandardUnderflowSlo());
-    slo_slack_ = config_.slo->Add(obs::StandardCycleSlackSlo());
-  }
-  play_series_.assign(streams_.size(), nullptr);
-  if (obs::TimelineRecorder* tl = config_.timelines; tl != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const char* kind = streams_[i].direction == StreamDirection::kRead
-                             ? ".dram_bytes"
-                             : ".staging_bytes";
-      play_series_[i] = tl->AddSeries(
-          "stream." + std::to_string(streams_[i].id) + kind, "bytes");
-    }
-    disk_util_series_ =
-        tl->AddSeries("device." + disk_->name() + ".cycle_utilization",
-                      "fraction");
-  }
+}
+
+std::int64_t DirectStreamingServer::UnderflowsOf(std::size_t i) const {
+  return streams_[i].direction == StreamDirection::kRead
+             ? play_.underflow_events(session_index_[i])
+             : 0;
 }
 
 void DirectStreamingServer::RunCycle(Seconds deadline) {
@@ -162,8 +128,7 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
     const Seconds done = t0 + busy;
     last_head_offset_ = batch[idx].offset;
     ++report_.ios_completed;
-    obs::Increment(ios_metric_);
-    obs::RecordIo(config_.auditor, idx, batch[idx].bytes);
+    if (config_.probe != nullptr) config_.probe->IoIssued(idx, batch[idx].bytes);
     const Bytes bytes = batch[idx].bytes;
     const std::size_t si = session_index_[idx];
 
@@ -176,20 +141,18 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
         if (done <= horizon_) {
           record_.Drain(si, done, bytes);
           const Bytes level = record_.LevelAt(si, done);
-          obs::Update(staging_occupancy_[si], done, level);
-          obs::Record(play_series_[idx], done, level);
-          obs::RecordDramLevel(config_.auditor, idx, done, level);
-          obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
+          if (config_.probe != nullptr) {
+            config_.probe->IoCompleted(idx, done, bytes, level);
+          }
         }
         continue;
       }
       sim_.ScheduleAt(done, [this, idx, si, bytes, done, service]() {
         record_.Drain(si, done, bytes);
         const Bytes level = record_.LevelAt(si, done);
-        obs::Update(staging_occupancy_[si], done, level);
-        obs::Record(play_series_[idx], done, level);
-        obs::RecordDramLevel(config_.auditor, idx, done, level);
-        obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
+        if (config_.probe != nullptr) {
+          config_.probe->IoCompleted(idx, done, bytes, level);
+        }
         if (trace_ != nullptr) {
           trace_->Append({done, sim::TraceKind::kIoCompleted,
                           disk_->name(), record_.id(si), bytes,
@@ -207,10 +170,9 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
       if (done <= horizon_) {
         play_.Deposit(si, done, bytes);
         const Bytes level = play_.LevelAt(si, done);
-        obs::Update(play_occupancy_[si], done, level);
-        obs::Record(play_series_[idx], done, level);
-        obs::RecordDramLevel(config_.auditor, idx, done, level);
-        obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
+        if (config_.probe != nullptr) {
+          config_.probe->IoCompleted(idx, done, bytes, level);
+        }
         if (!play_.playing(si)) {
           const Seconds start = std::max(done, boundary);
           if (start <= horizon_) play_.StartPlayback(si, start);
@@ -222,10 +184,9 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
                            service]() {
       play_.Deposit(si, done, bytes);
       const Bytes level = play_.LevelAt(si, done);
-      obs::Update(play_occupancy_[si], done, level);
-      obs::Record(play_series_[idx], done, level);
-      obs::RecordDramLevel(config_.auditor, idx, done, level);
-      obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
+      if (config_.probe != nullptr) {
+        config_.probe->IoCompleted(idx, done, bytes, level);
+      }
       if (trace_ != nullptr) {
         trace_->Append({done, sim::TraceKind::kIoCompleted, disk_->name(),
                         play_.id(si), bytes, "", service});
@@ -265,16 +226,13 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   report_.total_busy += busy;
   report_.max_cycle_busy = std::max(report_.max_cycle_busy, busy);
   const bool overrun = busy > config_.cycle * (1.0 + 1e-9);
-  if (overrun) {
-    ++report_.cycle_overruns;
-    obs::Increment(overruns_metric_);
-  }
+  if (overrun) ++report_.cycle_overruns;
   ++report_.cycles;
-  obs::Increment(cycles_metric_);
-  obs::Observe(slack_hist_, (config_.cycle - busy) / kMillisecond);
-  obs::EndDiskCycle(config_.auditor, t0, busy);
-  ObserveCycleOutcomes(t0 + busy, overrun);
-  obs::Record(disk_util_series_, t0 + config_.cycle, busy / config_.cycle);
+  if (config_.probe != nullptr) {
+    config_.probe->CycleClosed(
+        obs::CycleDomain::kDisk, 0, t0, busy, config_.cycle, overrun,
+        [this](std::size_t i) { return UnderflowsOf(i); });
+  }
   if (trace_ != nullptr && busy > 0) {
     // Scheduled so the record lands in time order among the IO records.
     const Seconds end = t0 + busy;
@@ -341,31 +299,18 @@ Status DirectStreamingServer::Run(Seconds duration) {
                           std::to_string(record_.overflow_events(i))});
     }
   }
-  if (config_.auditor != nullptr) {
-    report_.qos.violations = config_.auditor->total_violations();
-  }
   obs::WarnDroppedTelemetry(trace_, "timecycle server");
-
-  // Trailing underflows (accrued by the LevelAt calls above) go to the
-  // journal, then every stream this server registered departs. Departure
-  // is per-server, not Finalize(): a farm sharing one journal must not
-  // depart other disks' streams.
-  if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      if (streams_[i].direction == StreamDirection::kRead) {
-        const std::size_t si = session_index_[i];
-        const std::int64_t delta = play_.underflow_events(si) - uf_seen_[si];
-        uf_seen_[si] += delta;
-        obs::JournalUnderflows(journal_, jslot_[i], duration, delta);
-      }
-      if (jslot_[i] >= 0) {
-        journal_->MarkDeparted(static_cast<std::size_t>(jslot_[i]),
-                               duration);
-      }
-    }
+  if (config_.probe == nullptr) return Status::OK();
+  if (config_.probe->auditor() != nullptr) {
+    report_.qos.violations = config_.probe->auditor()->total_violations();
   }
+  // Trailing underflows (accrued by the LevelAt calls above) go to the
+  // journal, then every stream this server registered departs.
+  config_.probe->RunFinished(
+      duration, [this](std::size_t i) { return UnderflowsOf(i); });
 
-  if (obs::MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = config_.probe->metrics();
+      metrics != nullptr) {
     metrics->gauge("server.direct.underflow_events")
         ->Set(static_cast<double>(report_.qos.underflow_events));
     metrics->gauge("server.direct.underflow_time_s")
@@ -384,29 +329,6 @@ Status DirectStreamingServer::Run(Seconds duration) {
     obs::ExportSimulatorStats(metrics, sim_);
   }
   return Status::OK();
-}
-
-void DirectStreamingServer::ObserveCycleOutcomes(Seconds now, bool overrun) {
-  obs::SloRecord(slo_slack_, now, overrun ? 0 : 1, overrun ? 1 : 0);
-  if (journal_ == nullptr && slo_underflow_ == nullptr) return;
-  // Per-cycle underflow delta scan: the playback batch counts events
-  // cumulatively, so comparing against uf_seen_ attributes new events to
-  // this cycle without any extra bookkeeping on the deposit path.
-  std::int64_t bad_streams = 0;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    if (streams_[i].direction != StreamDirection::kRead) continue;
-    const std::size_t si = session_index_[i];
-    const std::int64_t delta = play_.underflow_events(si) - uf_seen_[si];
-    if (delta > 0) {
-      uf_seen_[si] += delta;
-      ++bad_streams;
-      obs::JournalUnderflows(journal_, jslot_[i], now, delta);
-    }
-  }
-  if (slo_underflow_ != nullptr && !play_.empty()) {
-    const auto nplay = static_cast<std::int64_t>(play_.size());
-    slo_underflow_->Record(now, nplay - bad_streams, bad_streams);
-  }
 }
 
 }  // namespace memstream::server

@@ -20,11 +20,7 @@
 #include "device/disk.h"
 #include "device/disk_scheduler.h"
 #include "fault/fault_injector.h"
-#include "obs/metrics.h"
-#include "obs/qos_auditor.h"
-#include "obs/slo.h"
-#include "obs/stream_journal.h"
-#include "obs/timeline.h"
+#include "obs/server_probe.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "sim/simulator.h"
@@ -67,33 +63,19 @@ struct DirectServerConfig {
   /// the delay is sampled per IO from `seed`.
   bool deterministic = true;
   std::uint64_t seed = 42;
-  /// Optional telemetry: cycle-slack histogram, per-stream occupancy,
-  /// run summary gauges. Null (the default) compiles the hooks down to a
-  /// pointer test per site. Not owned; must outlive the server.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional online QoS auditor. Register the streams (spec order, read
-  /// streams domain kDisk) and Seal() before Run(); the server drives the
-  /// per-cycle hooks. Null costs one pointer test per hook site. Not
-  /// owned.
-  obs::QosAuditor* auditor = nullptr;
-  /// Optional timeline recorder: per-stream DRAM occupancy and disk
-  /// cycle-utilization series. Null costs one pointer test per sample.
-  /// Not owned.
-  obs::TimelineRecorder* timelines = nullptr;
+  /// Optional telemetry seam: metrics, QoS auditor (register the streams
+  /// in spec order, read streams domain kDisk, and Seal() before Run()),
+  /// timelines, journal and SLOs. Streams self-register at Create (read
+  /// streams under the Theorem-1 2*B*T envelope, write streams under
+  /// their staging allocation) and the cycle callbacks feed it — no new
+  /// sim events, so event order and bench output are unchanged. Null
+  /// costs one pointer test per hook site. Not owned; must outlive the
+  /// server.
+  obs::ServerProbe* probe = nullptr;
   /// Optional fault injection: disk IOs pay the plan's latency-spike
   /// penalty; device-scoped faults are observed only (no MEMS bank).
   /// Not owned; must outlive the server.
   fault::FaultInjector* faults = nullptr;
-  /// Optional per-stream lifecycle journal. The server self-registers
-  /// its streams at Create (read streams under the Theorem-1 2*B*T
-  /// envelope, write streams under their staging allocation) and feeds
-  /// IO/underflow records from the existing cycle callbacks — no new
-  /// sim events, so event order and bench output are unchanged. Not
-  /// owned; must outlive the server.
-  obs::StreamJournal* journal = nullptr;
-  /// Optional SLO monitor: feeds the standard "underflow" (per
-  /// stream-cycle) and "cycle_slack" (per disk cycle) SLOs. Not owned.
-  obs::SloMonitor* slo = nullptr;
 };
 
 /// Post-run statistics common to all the simulated servers.
@@ -139,6 +121,8 @@ class DirectStreamingServer {
                         sim::TraceLog* trace);
 
   void RunCycle(Seconds deadline);
+  /// Stream `i`'s cumulative underflow events (0 for a write stream).
+  std::int64_t UnderflowsOf(std::size_t i) const;
 
   device::DiskDrive* disk_;
   std::vector<StreamSpec> streams_;
@@ -160,26 +144,6 @@ class DirectStreamingServer {
   bool eager_ = false;
   ServerReport report_;
   bool ran_ = false;
-  // Telemetry handles (null when config_.metrics is null).
-  obs::HistogramMetric* slack_hist_ = nullptr;
-  obs::Counter* cycles_metric_ = nullptr;
-  obs::Counter* overruns_metric_ = nullptr;
-  obs::Counter* ios_metric_ = nullptr;
-  std::vector<obs::TimeWeightedGauge*> play_occupancy_;  ///< per session
-  std::vector<obs::TimeWeightedGauge*> staging_occupancy_;
-  // Timeline handles (null when config_.timelines is null).
-  std::vector<obs::TimelineSeries*> play_series_;  ///< per session
-  obs::TimelineSeries* disk_util_series_ = nullptr;
-  // Journal/SLO handles (null / empty when the hooks are off). Slots are
-  // resolved once at construction; per-cycle underflow deltas come from
-  // comparing the batch counters against uf_seen_ (preallocated).
-  obs::StreamJournal* journal_ = nullptr;
-  std::vector<std::ptrdiff_t> jslot_;        ///< per stream (spec order)
-  std::vector<std::int64_t> uf_seen_;        ///< per play session
-  obs::Slo* slo_underflow_ = nullptr;
-  obs::Slo* slo_slack_ = nullptr;
-
-  void ObserveCycleOutcomes(Seconds now, bool overrun);
 };
 
 }  // namespace memstream::server

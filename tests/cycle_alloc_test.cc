@@ -178,8 +178,11 @@ TEST(CycleAllocTest, JournaledDirectServerSteadyStateAllocFree) {
       "server.direct.cycle", 10.0, 60.0, [&](Seconds duration) {
         DirectServerConfig config;
         config.cycle = 0.5;
-        config.journal = &journal;
-        config.slo = &slo;
+        obs::ServerSinks sinks;
+        sinks.journal = &journal;
+        sinks.slo = &slo;
+        obs::ServerProbe probe(sinks);
+        config.probe = &probe;
         std::vector<StreamSpec> streams;
         for (int i = 0; i < 8; ++i) {
           StreamSpec s;

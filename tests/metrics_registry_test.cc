@@ -181,7 +181,6 @@ TEST(MetricsRegistryTest, NullTolerantHelpersNoOpOnNull) {
   Increment(nullptr);
   Set(nullptr, 1.0);
   Observe(nullptr, 1.0);
-  Update(nullptr, 0.0, 1.0);
   MetricsRegistry registry;
   Counter* c = registry.counter("c");
   Increment(c, 3);

@@ -264,7 +264,10 @@ TEST(QosAuditorServerTest, CreateRejectsMismatchedRegistration) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
+  ServerSinks sinks;
+  sinks.auditor = &auditor;
+  ServerProbe probe(sinks);
+  config.probe = &probe;
   auto server = server::DirectStreamingServer::Create(
       &disk, Spread(n, b, disk.Capacity(), 2 * b * cycle.value()), config);
   EXPECT_FALSE(server.ok());
@@ -292,7 +295,10 @@ TEST(QosAuditorServerTest, AnalyticSizingAuditsCleanOnDirectServer) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
+  ServerSinks sinks;
+  sinks.auditor = &auditor;
+  ServerProbe probe(sinks);
+  config.probe = &probe;
   auto server =
       server::DirectStreamingServer::Create(&disk, streams, config);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -331,7 +337,10 @@ TEST(QosAuditorServerTest, UndersizedBufferSeedsExactCounterExample) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
+  ServerSinks sinks;
+  sinks.auditor = &auditor;
+  ServerProbe probe(sinks);
+  config.probe = &probe;
   auto server =
       server::DirectStreamingServer::Create(&disk, streams, config, &log);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -409,7 +418,10 @@ TEST(QosAuditorServerTest, EdfOccupancyAuditIsClean) {
 
   server::EdfServerConfig config;
   config.io_playback = io_playback;
-  config.auditor = &auditor;
+  ServerSinks sinks;
+  sinks.auditor = &auditor;
+  ServerProbe probe(sinks);
+  config.probe = &probe;
   auto server =
       server::EdfStreamingServer::Create(&disk, streams, config);
   ASSERT_TRUE(server.ok()) << server.status().ToString();

@@ -72,7 +72,6 @@ TEST(SloTest, ZeroCountRecordIsIgnored) {
   slo.Record(1.0, 0, 0);
   EXPECT_EQ(slo.good(), 0);
   EXPECT_EQ(slo.bad(), 0);
-  SloRecord(nullptr, 1.0, 1, 0);  // null helper is a no-op
 }
 
 TEST(SloMonitorTest, AddIsGetOrCreateByName) {

@@ -163,19 +163,5 @@ TEST(StreamJournalTest, PublishSummaryExportsGauges) {
   j.PublishSummary(nullptr);  // null sink is a no-op, not a crash
 }
 
-TEST(StreamJournalTest, NullTolerantHelpersIgnoreBadTargets) {
-  JournalIo(nullptr, 0, 1.0, 10, 10);
-  JournalUnderflows(nullptr, 0, 1.0, 1);
-  StreamJournal j;
-  const std::size_t slot = j.EnsureStream(1, 1e6, 0, 0.0);
-  JournalIo(&j, -1, 1.0, 10, 10);        // unregistered stream
-  JournalUnderflows(&j, -1, 1.0, 1);
-  JournalUnderflows(&j, static_cast<std::ptrdiff_t>(slot), 1.0, 0);  // no-op
-  EXPECT_EQ(j.entry(slot).ios, 0);
-  EXPECT_EQ(j.entry(slot).underflows, 0);
-  JournalIo(&j, static_cast<std::ptrdiff_t>(slot), 1.0, 10, 10);
-  EXPECT_EQ(j.entry(slot).ios, 1);
-}
-
 }  // namespace
 }  // namespace memstream::obs

@@ -96,17 +96,6 @@ TEST(TimelineRecorderTest, TotalPointsSumsAcrossSeries) {
   EXPECT_EQ(recorder.total_points(), 8u);
 }
 
-TEST(TimelineRecorderTest, NullSinkRecordIsANoOp) {
-  // The instrumentation contract: hot paths call the free helper with a
-  // possibly-null handle.
-  Record(nullptr, 1.0, 2.0);
-
-  TimelineSeries series("s", "", 4);
-  Record(&series, 1.0, 2.0);
-  ASSERT_EQ(series.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(series.points()[0].v, 2.0);
-}
-
 TEST(TimelineRecorderTest, OptionsCapacityAppliesToNewSeries) {
   TimelineOptions options;
   options.max_points_per_series = 4;
