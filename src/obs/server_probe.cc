@@ -3,7 +3,8 @@
 namespace memstream::obs {
 
 Status ServerProbe::CheckStreamCount(std::size_t num_streams) const {
-  if (sinks_.auditor != nullptr && sinks_.auditor->num_streams() != num_streams) {
+  if (sinks_.auditor != nullptr &&
+      sinks_.auditor->num_streams() != num_streams) {
     return Status::InvalidArgument(
         "auditor stream registration does not match the stream set");
   }
@@ -36,7 +37,8 @@ void ServerProbe::AddCycle(CycleDomain domain, const std::string& stem,
   if (MetricsRegistry* m = sinks_.metrics; m != nullptr) {
     const std::string name = prefix_ + "." + stem;
     const double cycle_ms = cycle / kMillisecond;
-    c.slack_ms = m->histogram(name + "cycle_slack_ms", {-cycle_ms, cycle_ms, 40});
+    c.slack_ms =
+        m->histogram(name + "cycle_slack_ms", {-cycle_ms, cycle_ms, 40});
     c.count = m->counter(name + "cycles");
     if (count_overruns) c.overruns = m->counter(name + "cycle_overruns");
   }

@@ -132,7 +132,9 @@ class ServerProbe {
     const Cycle& c = cycles_[static_cast<std::size_t>(domain)];
     if (overrun && c.overruns != nullptr) c.overruns->Increment();
     if (c.count != nullptr) c.count->Increment();
-    if (c.slack_ms != nullptr) c.slack_ms->Observe((cycle - busy) / kMillisecond);
+    if (c.slack_ms != nullptr) {
+      c.slack_ms->Observe((cycle - busy) / kMillisecond);
+    }
     if (QosAuditor* a = sinks_.auditor; a != nullptr) {
       if (domain == CycleDomain::kDisk) {
         a->EndDiskCycle(t0, busy);
@@ -141,7 +143,9 @@ class ServerProbe {
       }
     }
     SlackOutcome(t0 + busy, overrun);
-    if (c.utilization != nullptr) c.utilization->Record(t0 + cycle, busy / cycle);
+    if (c.utilization != nullptr) {
+      c.utilization->Record(t0 + cycle, busy / cycle);
+    }
   }
 
   /// CycleClosed plus the underflow delta scan: `underflows_of(i)` is
@@ -177,7 +181,9 @@ class ServerProbe {
   /// One cycle-slack outcome outside any cycle (EDF: an IO met or
   /// missed its deadline).
   void SlackOutcome(Seconds t, bool missed) {
-    if (slo_slack_ != nullptr) slo_slack_->Record(t, missed ? 0 : 1, missed ? 1 : 0);
+    if (slo_slack_ != nullptr) {
+      slo_slack_->Record(t, missed ? 0 : 1, missed ? 1 : 0);
+    }
   }
 
   /// Per-IO underflow check of stream `i` (EDF): journals new events and
@@ -187,7 +193,9 @@ class ServerProbe {
     const std::int64_t delta = cumulative - uf_seen_[i];
     if (delta > 0) {
       uf_seen_[i] += delta;
-      if (!jslot_.empty()) sinks_.journal->RecordUnderflows(jslot_[i], t, delta);
+      if (!jslot_.empty()) {
+        sinks_.journal->RecordUnderflows(jslot_[i], t, delta);
+      }
     }
     if (slo_underflow_ != nullptr) {
       slo_underflow_->Record(t, delta > 0 ? 0 : 1, delta > 0 ? 1 : 0);

@@ -79,8 +79,8 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
 
   AdmissionDecision decision;
   decision.streams_after = admitted_count() + 1;
-  if (bit_rate <= 0) {
-    decision.reason = "bit_rate must be > 0";
+  if (!(bit_rate > 0) || bit_rate == kInf) {  // NaN fails the first test
+    decision.reason = "bit_rate must be finite and > 0";
   } else {
     const BytesPerSecond avg =
         (total_rate_ + bit_rate) /

@@ -452,7 +452,10 @@ void CacheStreamingServer::TransitionStream(std::size_t i, Placement target) {
     }
     // The stream keeps playing across the switch; bridge the gap until
     // its first disk-cycle deposit (up to one full boundary + batch).
-    if (play_.playing(i)) {
+    // A stream still starting up is cushioned too: its first deposit
+    // (landed or in flight) schedules a playback start on the old cycle.
+    // Only a re-admitted stream restarts from its next deposit.
+    if (from != Placement::kShed) {
       CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
                             config_.disk_cycle);
     }
@@ -531,6 +534,16 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
   if (config_.faults != nullptr) {
     config_.faults->RecordReplan(cause, now, plan.action);
   }
+  // A re-plan over the same bank state as the last one changes nothing.
+  // Overlapping striped outages schedule one delayed re-plan per repair;
+  // the second must not re-arm the transition bounds the first set for
+  // deposits of the old schedule still in flight.
+  if (last_replan_.has_value() && *last_replan_ == plan &&
+      replan_alive_ == device_alive_) {
+    return;
+  }
+  last_replan_ = plan;
+  replan_alive_ = device_alive_;
   cache_halted_ = plan.cache_down;
 
   const Seconds old_mems_cycle = config_.mems_cycle;
@@ -548,14 +561,13 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
     }
     if (config_.disk_cycle > old_disk_cycle) {
       // The longer degraded disk cycle also stretches the deposit gap of
-      // the streams already on the disk path; bridge it and let their
-      // audited bound track the cushioned level.
+      // the streams already on the disk path, those still starting up
+      // included; bridge it and let their audited bound track the
+      // cushioned level.
       for (std::size_t i = 0; i < streams_.size(); ++i) {
         if (streams_[i].cached) continue;
-        if (play_.playing(i)) {
-          CushionDeposit(i, config_.dram_bound_factor *
-                                streams_[i].bit_rate * config_.disk_cycle);
-        }
+        CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
+                              config_.disk_cycle);
         SetTransitionBound(i, config_.disk_cycle, old_disk_cycle);
       }
     }
@@ -570,11 +582,10 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
   for (std::size_t i : cache_streams_) {
     // One deposit of the stream's pre-plan schedule may still be in
     // flight; its cycle length feeds the transition bound below.
-    const Seconds carry = placement_[i] == Placement::kCache
-                              ? old_mems_cycle
-                              : placement_[i] == Placement::kDisk
-                                    ? old_disk_cycle
-                                    : 0;
+    const Placement from = placement_[i];
+    const Seconds carry = from == Placement::kCache  ? old_mems_cycle
+                          : from == Placement::kDisk ? old_disk_cycle
+                                                     : 0;
     if (cache_quota > 0) {
       --cache_quota;
       TransitionStream(i, Placement::kCache);
@@ -583,7 +594,7 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
       // disk path, the cushion covers the double-buffered cycle: a
       // stream's deposit may land anywhere in the new cycle, so one
       // cycle's worth alone leaves no room for in-cycle order jitter.
-      if (config_.mems_cycle > old_mems_cycle && play_.playing(i)) {
+      if (config_.mems_cycle > old_mems_cycle && from != Placement::kShed) {
         CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
                               config_.mems_cycle);
       }

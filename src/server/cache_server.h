@@ -7,6 +7,7 @@
 #define MEMSTREAM_SERVER_CACHE_SERVER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,9 @@ class CacheStreamingServer {
   bool cache_halted_ = false;  ///< striped content lost / bank dead
   Seconds horizon_ = 0;
   std::int64_t shed_count_ = 0;  ///< streams placed kShed
+  /// The last re-plan applied and the bank state it was solved for.
+  std::optional<fault::CacheReplan> last_replan_;
+  std::vector<bool> replan_alive_;
 };
 
 }  // namespace memstream::server

@@ -128,7 +128,9 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
     const Seconds done = t0 + busy;
     last_head_offset_ = batch[idx].offset;
     ++report_.ios_completed;
-    if (config_.probe != nullptr) config_.probe->IoIssued(idx, batch[idx].bytes);
+    if (config_.probe != nullptr) {
+      config_.probe->IoIssued(idx, batch[idx].bytes);
+    }
     const Bytes bytes = batch[idx].bytes;
     const std::size_t si = session_index_[idx];
 

@@ -120,6 +120,24 @@ TEST(AdmissionTest, InvalidBitRateRejected) {
   EXPECT_FALSE(ctrl.value().TryAdmit(-5).admitted);
 }
 
+// NaN and +-inf are argument errors, not Theorem-1 infeasibility, and
+// leave the admitted set untouched.
+TEST(AdmissionTest, NonFiniteBitRateRejectedAsInvalidArgument) {
+  auto ctrl = AdmissionController::Create(DirectConfig(1 * kGB));
+  ASSERT_TRUE(ctrl.ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const AdmissionDecision d = ctrl.value().TryAdmit(rate);
+    EXPECT_FALSE(d.admitted) << rate;
+    EXPECT_EQ(d.reason, "bit_rate must be finite and > 0") << rate;
+  }
+  EXPECT_EQ(ctrl.value().admitted_count(), 0);
+  EXPECT_EQ(ctrl.value().TryAdmit(0).reason,
+            "bit_rate must be finite and > 0");
+  EXPECT_TRUE(ctrl.value().TryAdmit(1 * kMBps).admitted);
+}
+
 TEST(AdmissionTest, CreateValidatesConfig) {
   AdmissionConfig config;  // no latency function
   config.dram_budget = 1 * kGB;

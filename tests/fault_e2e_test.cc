@@ -172,6 +172,62 @@ TEST(FaultE2eTest, ReplicatedReshapeCushionsRepeatedOutages) {
   EXPECT_EQ(result.value().qos.violations, 0) << ViolationDump(result.value());
 }
 
+// The striped DVD bank of the server_modes benchmark (n = 60, k = 2,
+// uniform-rate disk, managed degradation, 4 s outages) under a scripted
+// plan.
+MediaServerResult RunStripedDvd(std::vector<fault::FaultEvent> events) {
+  MediaServerConfig config;
+  config.mode = ServerMode::kMemsCache;
+  config.cache_policy = model::CachePolicy::kStriped;
+  config.disk.inner_rate = config.disk.outer_rate;
+  config.k = 2;
+  config.num_streams = 60;
+  config.cached_fraction_of_streams = 0.5;
+  config.bit_rate = model::Dvd().bit_rate;
+  config.sim_duration = 20;
+  config.fault_plan = fault::FaultPlan::FromScript(std::move(events));
+  std::ostringstream sink;
+  config.fault_warn_stream = &sink;
+  auto result = RunMediaServer(config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result.value() : MediaServerResult{};
+}
+
+// A device lost in the first cycles falls every cached stream back to
+// the disk, and stretches the disk cycle, before most streams have
+// started playing. A starting stream's first deposit (landed or still
+// in flight) schedules its playback start on the old cycle, so the
+// transition must cushion it like a playing stream; otherwise it starts
+// with one short cycle of data, runs dry before its first deposit on
+// the new schedule, and keeps running dry on in-cycle order jitter
+// (808 underflows at a 3 ms failure, 343 at 50 ms).
+TEST(FaultE2eTest, StripedEarlyFailureCushionsStartingStreams) {
+  for (const Seconds fail_at : {0.003, 0.05}) {
+    const MediaServerResult r =
+        RunStripedDvd({{fail_at, fault::FaultKind::kMemsDeviceFail, 1, 0, 0},
+                       {fail_at + 4, fault::FaultKind::kMemsDeviceRepair, 1,
+                        0, 4}});
+    EXPECT_EQ(r.qos.underflow_events, 0) << "fail at " << fail_at;
+    EXPECT_EQ(r.qos.violations, 0) << "fail at " << fail_at << "\n"
+                                   << ViolationDump(r);
+  }
+}
+
+// Both devices down at once: each repair schedules its own delayed
+// re-plan one refill_delay later. The first moves the cached streams
+// back to the cache and arms their DRAM bound for the disk deposit
+// still in flight; the second changes nothing and must not re-arm the
+// bound without that carry (3 dram_bound violations at 10.0/10.02 s).
+TEST(FaultE2eTest, StripedOverlappingOutagesKeepTransitionBounds) {
+  const MediaServerResult r =
+      RunStripedDvd({{10.0, fault::FaultKind::kMemsDeviceFail, 0, 0, 0},
+                     {10.02, fault::FaultKind::kMemsDeviceFail, 1, 0, 0},
+                     {14.0, fault::FaultKind::kMemsDeviceRepair, 0, 0, 4},
+                     {14.02, fault::FaultKind::kMemsDeviceRepair, 1, 0, 4}});
+  EXPECT_EQ(r.qos.violations, 0) << ViolationDump(r);
+  EXPECT_EQ(r.qos.underflow_events, 0);
+}
+
 std::string ReportJsonForTask(std::int64_t index) {
   fault::FaultPlanConfig pc;
   pc.horizon = 20;
