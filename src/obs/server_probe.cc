@@ -56,18 +56,16 @@ void ServerProbe::TrackAvailability() {
 void ServerProbe::AddStream(std::int64_t id, BytesPerSecond bit_rate,
                             Bytes envelope, bool playback) {
   if (playback) ++playback_;
-  if (sinks_.metrics == nullptr && sinks_.timelines == nullptr &&
-      sinks_.journal == nullptr && sinks_.slo == nullptr) {
-    return;
-  }
-  std::string name = "stream.";
-  name += std::to_string(id);
-  name += playback ? ".dram_bytes" : ".staging_bytes";
-  if (level_gauges_) {
-    level_gauge_.push_back(sinks_.metrics->time_weighted(name));
-  }
-  if (sinks_.timelines != nullptr) {
-    level_series_.push_back(sinks_.timelines->AddSeries(name, "bytes"));
+  if (level_gauges_ || sinks_.timelines != nullptr) {
+    std::string name = "stream.";
+    name += std::to_string(id);
+    name += playback ? ".dram_bytes" : ".staging_bytes";
+    if (level_gauges_) {
+      level_gauge_.push_back(sinks_.metrics->time_weighted(name));
+    }
+    if (sinks_.timelines != nullptr) {
+      level_series_.push_back(sinks_.timelines->AddSeries(name, "bytes"));
+    }
   }
   if (sinks_.journal != nullptr) {
     jslot_.push_back(sinks_.journal->EnsureStream(id, bit_rate, envelope, 0.0));
