@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "obs/metrics.h"
+#include "obs/server_probe.h"
 
 namespace memstream::obs {
 namespace {
@@ -161,6 +165,39 @@ TEST(StreamJournalTest, PublishSummaryExportsGauges) {
   EXPECT_DOUBLE_EQ(metrics.gauge("stream.shed")->value(), 1.0);
   EXPECT_DOUBLE_EQ(metrics.gauge("stream.still_shed")->value(), 1.0);
   j.PublishSummary(nullptr);  // null sink is a no-op, not a crash
+}
+
+// Servers reach the journal only through their ServerProbe: without a
+// journal its hooks are no-ops, and with one they touch only the slots
+// the probe registered (a farm's shared journal holds other servers'
+// streams too).
+TEST(StreamJournalTest, NullTolerantHelpersIgnoreBadTargets) {
+  ServerProbe bare(ServerSinks{});
+  bare.Open("server.a", 1);
+  bare.AddStream(1, 1e6, 0.0);
+  bare.IoCompleted(0, 1.0, 10, 10);
+  bare.StreamUnderflows(0, 1.0, 1);
+  bare.RunFinished(2.0, [](std::size_t) { return std::int64_t{1}; });
+
+  StreamJournal j;
+  const std::size_t other = j.EnsureStream(2, 1e6, 0, 0.0);
+  ServerSinks sinks;
+  sinks.journal = &j;
+  ServerProbe probe(sinks);
+  probe.Open("server.b", 1);
+  probe.AddStream(1, 1e6, 0.0);
+  const std::ptrdiff_t slot = j.SlotOf(1);
+  ASSERT_GE(slot, 0);
+  const auto s = static_cast<std::size_t>(slot);
+  probe.StreamUnderflows(0, 1.0, 0);  // no new underflow: no-op
+  EXPECT_EQ(j.entry(s).ios, 0);
+  EXPECT_EQ(j.entry(s).underflows, 0);
+  probe.IoCompleted(0, 1.0, 10, 10);
+  EXPECT_EQ(j.entry(s).ios, 1);
+  probe.RunFinished(2.0, [](std::size_t) { return std::int64_t{0}; });
+  EXPECT_EQ(j.entry(s).phase, StreamPhase::kDeparted);
+  EXPECT_EQ(j.entry(other).ios, 0);
+  EXPECT_EQ(j.entry(other).phase, StreamPhase::kAdmitted);
 }
 
 }  // namespace

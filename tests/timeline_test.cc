@@ -4,6 +4,8 @@
 
 #include <cstddef>
 
+#include "obs/server_probe.h"
+
 namespace memstream::obs {
 namespace {
 
@@ -94,6 +96,28 @@ TEST(TimelineRecorderTest, TotalPointsSumsAcrossSeries) {
   for (int i = 0; i < 3; ++i) a->Record(i, i);
   for (int i = 0; i < 5; ++i) b->Record(i, i);
   EXPECT_EQ(recorder.total_points(), 8u);
+}
+
+TEST(TimelineRecorderTest, NullSinkRecordIsANoOp) {
+  // The instrumentation contract: hot paths call the server probe, which
+  // records nothing when no recorder is attached.
+  ServerProbe bare(ServerSinks{});
+  bare.Open("server.a", 1);
+  bare.AddStream(1, 1e6, 0.0);
+  bare.IoCompleted(0, 1.0, 10, 2.0);
+
+  TimelineRecorder recorder;
+  ServerSinks sinks;
+  sinks.timelines = &recorder;
+  ServerProbe probe(sinks);
+  probe.Open("server.b", 1);
+  probe.AddStream(1, 1e6, 0.0);
+  probe.IoCompleted(0, 1.0, 10, 2.0);
+  ASSERT_EQ(recorder.size(), 1u);
+  const TimelineSeries& series = recorder.series().front();
+  EXPECT_EQ(series.name(), "stream.1.dram_bytes");
+  ASSERT_EQ(series.points().size(), 1u);
+  EXPECT_DOUBLE_EQ(series.points()[0].v, 2.0);
 }
 
 TEST(TimelineRecorderTest, OptionsCapacityAppliesToNewSeries) {
